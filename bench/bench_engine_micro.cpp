@@ -173,19 +173,17 @@ void measure_permutation(bench::JsonReport& report, int n, int threads,
 }
 
 /// One point of the n-scaling series (docs/SCALE.md): a short saturated
-/// run on the side×side mesh under the default or lean memory profile.
-/// Reports steps/sec plus bytes/node from Engine::memory_stats() —
-/// bench_compare gates only steps_per_sec (bytes/node is capacity-exact
-/// but documented in docs/SCALE.md rather than diff-gated).
-void measure_scale(bench::JsonReport& report, int side,
-                   sim::MemoryProfile profile, std::uint64_t steps) {
+/// run on the side×side mesh. Reports steps/sec plus bytes/node from
+/// Engine::memory_stats() — bench_compare gates only steps_per_sec
+/// (bytes/node is capacity-exact but documented in docs/SCALE.md rather
+/// than diff-gated).
+void measure_scale(bench::JsonReport& report, int side, std::uint64_t steps) {
   net::Mesh mesh(2, side);
   Rng rng(17);
   auto problem = workload::saturated_random(mesh, 4, rng);
   routing::RestrictedPriorityPolicy policy;
   sim::EngineConfig config;
   config.archive_arrivals = false;
-  config.memory = profile;
   sim::Engine engine(mesh, problem, policy, config);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -196,8 +194,7 @@ void measure_scale(bench::JsonReport& report, int side,
 
   const sim::EngineMemoryStats stats = engine.memory_stats();
   const double nodes = static_cast<double>(mesh.num_nodes());
-  report.add("scale_n" + std::to_string(side) +
-                 (profile == sim::MemoryProfile::kLean ? "_lean" : "_default"),
+  report.add("scale_n" + std::to_string(side),
              {{"nodes", nodes},
               {"packets", static_cast<double>(problem.size())},
               {"steps", executed},
@@ -224,17 +221,12 @@ void write_engine_json() {
   // attached (the n = 64 off entry above is their baseline).
   measure_permutation(report, 64, 1, ObsMode::kMetrics);
   measure_permutation(report, 64, 1, ObsMode::kTrace);
-  // n-scaling series (docs/SCALE.md): default vs lean memory profile at
-  // growing node counts, a few saturated steps each so the series stays
-  // CI-cheap. bytes/node must fall in lean mode at n ≥ 1024.
-  measure_scale(report, 256, sim::MemoryProfile::kDefault, 12);
-  measure_scale(report, 256, sim::MemoryProfile::kLean, 12);
-  measure_scale(report, 512, sim::MemoryProfile::kDefault, 8);
-  measure_scale(report, 512, sim::MemoryProfile::kLean, 8);
-  measure_scale(report, 1024, sim::MemoryProfile::kDefault, 4);
-  measure_scale(report, 1024, sim::MemoryProfile::kLean, 4);
-  measure_scale(report, 2048, sim::MemoryProfile::kDefault, 2);
-  measure_scale(report, 2048, sim::MemoryProfile::kLean, 2);
+  // n-scaling series (docs/SCALE.md): growing node counts, a few saturated
+  // steps each so the series stays CI-cheap.
+  measure_scale(report, 256, 12);
+  measure_scale(report, 512, 8);
+  measure_scale(report, 1024, 4);
+  measure_scale(report, 2048, 2);
   report.write("BENCH_engine.json");
 }
 

@@ -73,7 +73,6 @@ struct Options {
   std::uint64_t checkpoint_at = 0;  // checkpoint after this step (0 = end)
   std::string restore_path;         // resume from this checkpoint
   bool fingerprint = false;         // print the end-of-run state fingerprint
-  bool scale = false;               // memory-lean engine profile
 };
 
 void usage() {
@@ -128,9 +127,6 @@ void usage() {
                                     mode only, excludes --load/--save
   --fingerprint                     print the end-of-run engine state
                                     fingerprint (docs/SCALE.md)
-  --scale                           memory-lean engine profile: no topology
-                                    caches, 32-bit flight columns; results
-                                    are bit-identical; batch mode only
   --help
 )";
 }
@@ -284,8 +280,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.restore_path = value();
     } else if (arg == "--fingerprint") {
       opt.fingerprint = true;
-    } else if (arg == "--scale") {
-      opt.scale = true;
     } else if (arg == "--audit") {
       opt.audit = true;
     } else if (arg == "--csv") {
@@ -397,15 +391,14 @@ int main(int argc, char** argv) {
         (opt.inject_rate >= 0.0 || !opt.metrics_path.empty() ||
          !opt.trace_path.empty() || opt.profile || opt.csv || opt.audit ||
          !opt.save_path.empty() || !opt.load_path.empty() ||
-         checkpoint_flags || opt.scale)) {
+         checkpoint_flags)) {
       std::cerr << "error: --probe/--sweep-cell cannot be combined with "
                    "--inject/--metrics/--trace/--profile/--csv/--audit/"
-                   "--save/--load/--checkpoint/--restore/--fingerprint/"
-                   "--scale\n";
+                   "--save/--load/--checkpoint/--restore/--fingerprint\n";
       return 2;
     }
-    if (opt.inject_rate >= 0.0 && (checkpoint_flags || opt.scale)) {
-      std::cerr << "error: --checkpoint/--restore/--fingerprint/--scale are "
+    if (opt.inject_rate >= 0.0 && checkpoint_flags) {
+      std::cerr << "error: --checkpoint/--restore/--fingerprint are "
                    "batch-mode flags and cannot be combined with --inject\n";
       return 2;
     }
@@ -480,7 +473,6 @@ int main(int argc, char** argv) {
     config.seed = opt.seed;
     config.num_threads = opt.threads;
     config.profile = opt.profile;
-    if (opt.scale) config.memory = hp::sim::MemoryProfile::kLean;
     hp::sim::Engine engine(*network, problem, *policy, config);
     if (!opt.restore_path.empty()) {
       hp::sim::restore_checkpoint(engine, opt.restore_path);

@@ -2,7 +2,7 @@
 // WRONG order (the classic AB/BA deadlock shape). Must FAIL to compile
 // under -Wthread-safety-beta -Werror (acquired_before/after checking lives
 // behind the beta flag) with a "must be acquired" ordering diagnostic.
-#include "util/sync.hpp"
+#include "sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace {

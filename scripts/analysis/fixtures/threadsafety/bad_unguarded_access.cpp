@@ -3,7 +3,7 @@
 // what goes uncaught if the HP_GUARDED_BY annotation is removed). Must FAIL
 // to compile under -Wthread-safety -Werror with a
 // "requires holding mutex 'mu_'" diagnostic.
-#include "util/sync.hpp"
+#include "sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace {

@@ -5,7 +5,7 @@
 // (compile-only fixture; never executed).
 #include <condition_variable>
 
-#include "util/sync.hpp"
+#include "sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace {

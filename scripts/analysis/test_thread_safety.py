@@ -36,6 +36,9 @@ FLAGS = [
     "-fsyntax-only",
     "-I",
     str(ROOT / "src"),
+    # sync.hpp: the annotated Mutex/MutexLock the fixtures lock with.
+    "-I",
+    str(FIXTURES),
     "-Wthread-safety",
     "-Wthread-safety-beta",
     "-Werror",

@@ -61,10 +61,6 @@ class PhaseProfiler {
   /// that ran. Accumulates per-task totals and the imbalance estimate.
   void add_shard_epoch(Phase p, const std::uint64_t* shard_ns,
                        std::size_t shards);
-  /// Back-compat alias from the routing-only sharded engine.
-  void add_route_epoch(const std::uint64_t* shard_ns, std::size_t shards) {
-    add_shard_epoch(Phase::kRoute, shard_ns, shards);
-  }
 
   const PhaseStat& stat(Phase p) const {
     return stats_[static_cast<std::size_t>(p)];
@@ -78,12 +74,6 @@ class PhaseProfiler {
   /// 0 when the phase never ran sharded.
   std::uint64_t epochs(Phase p) const { return shard_stat(p).epochs; }
   double shard_imbalance(Phase p) const;
-  // Route-phase shorthands, kept for the pre-pipeline call sites.
-  std::uint64_t epochs() const { return epochs(Phase::kRoute); }
-  double shard_imbalance() const { return shard_imbalance(Phase::kRoute); }
-  const std::vector<std::uint64_t>& shard_totals() const {
-    return shard_stat(Phase::kRoute).totals;
-  }
 
   /// Human-readable per-phase table: ns totals, share of the accounted
   /// time, per-step means, plus the shard balance line.

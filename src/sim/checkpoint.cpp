@@ -24,7 +24,7 @@ class CheckpointIO {
     // silently compute a different experiment.
     w.str(e.net_.name());
     w.u64(e.num_nodes_);
-    w.u32(static_cast<std::uint32_t>(e.num_dirs_));
+    w.u32(static_cast<std::uint32_t>(e.net_.num_dirs()));
     w.str(e.policy_.name());
     w.u64(e.config_.seed);
 
@@ -55,7 +55,7 @@ class CheckpointIO {
     const std::uint64_t nodes = r.u64();
     const std::uint32_t dirs = r.u32();
     HP_REQUIRE(nodes == e.num_nodes_ &&
-                   dirs == static_cast<std::uint32_t>(e.num_dirs_),
+                   dirs == static_cast<std::uint32_t>(e.net_.num_dirs()),
                "checkpoint topology shape does not match this engine");
     const std::string policy_name = r.str();
     HP_REQUIRE(policy_name == e.policy_.name(),

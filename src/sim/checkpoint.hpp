@@ -36,8 +36,7 @@ void save_checkpoint(const Engine& engine, const std::string& path);
 /// Restores a checkpoint into a freshly constructed engine (no steps run,
 /// no packets injected — use an empty workload::Problem). The engine must
 /// have been built over the same topology, policy, seed, and
-/// archive_arrivals flag the checkpoint names; the MemoryProfile may
-/// differ (the wire format is column-width independent).
+/// archive_arrivals flag the checkpoint names; the thread count may differ.
 void restore_checkpoint(Engine& engine, std::istream& in);
 void restore_checkpoint(Engine& engine, const std::string& path);
 

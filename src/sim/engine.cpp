@@ -120,9 +120,7 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
     : net_(net),
       policy_(policy),
       config_(config),
-      lean_(config.memory == MemoryProfile::kLean),
-      flight_(config.memory == MemoryProfile::kLean ? ColumnWidth::kCompact
-                                                    : ColumnWidth::kWide),
+      num_nodes_(net.num_nodes()),
       occupancy_(net.num_nodes()),
       node_stamp_(net.num_nodes(), ~std::uint64_t{0}) {
   HP_REQUIRE(config_.num_threads >= 1 && config_.num_threads <= 512,
@@ -130,28 +128,7 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
   archive_.configure(config_.archive);
   archive_.set_keep_records(config_.archive_arrivals);
 
-  num_dirs_ = net.num_dirs();
-  num_nodes_ = net.num_nodes();
-  const auto n = num_nodes_;
-  if (!lean_) {
-    degree_.resize(n);
-    avail_dirs_.resize(n);
-    neighbor_table_.resize(n * static_cast<std::size_t>(num_dirs_));
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto node = static_cast<net::NodeId>(v);
-      for (net::Dir d = 0; d < num_dirs_; ++d) {
-        const net::NodeId nb = net.neighbor(node, d);
-        neighbor_table_[v * static_cast<std::size_t>(num_dirs_) +
-                        static_cast<std::size_t>(d)] = nb;
-        if (nb != net::kInvalidNode) {
-          avail_dirs_[v].push_back(d);
-          ++degree_[v];
-        }
-      }
-    }
-  }
-
-  occ_shards_ = occupancy_shard_count(n);
+  occ_shards_ = occupancy_shard_count(num_nodes_);
   if (occ_shards_ > 1) {
     shards_.resize(occ_shards_);
     scatter_.resize(occ_shards_ * occ_shards_);
@@ -236,25 +213,11 @@ std::vector<Packet> Engine::snapshot_packets() const {
   return out;
 }
 
-net::DirList Engine::node_avail_dirs(net::NodeId node) const {
-  if (!lean_) return avail_dirs_[static_cast<std::size_t>(node)];
-  // Lean profile: probe the arcs on demand. Same ascending order the
-  // cache-building loop produces, so both profiles hand policies an
-  // identical NodeContext.
-  net::DirList dirs;
-  for (net::Dir d = 0; d < num_dirs_; ++d) {
-    if (net_.neighbor(node, d) != net::kInvalidNode) dirs.push_back(d);
-  }
-  return dirs;
-}
-
 EngineMemoryStats Engine::memory_stats() const {
   const auto vec_bytes = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   EngineMemoryStats stats;
-  stats.topology_bytes =
-      vec_bytes(degree_) + vec_bytes(avail_dirs_) + vec_bytes(neighbor_table_);
   stats.occupancy_bytes =
       vec_bytes(occupancy_) + vec_bytes(occupied_) + vec_bytes(node_stamp_);
   stats.flight_bytes = flight_.memory_bytes();
@@ -504,7 +467,7 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
     occupancy_[node].clear();
     occupied_.push_back(src);
   }
-  if (static_cast<int>(occupancy_[node].size()) >= node_degree(src)) {
+  if (static_cast<int>(occupancy_[node].size()) >= net_.degree(src)) {
     return false;
   }
   ++next_id_;
@@ -517,11 +480,14 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
 
 void Engine::route_node(net::NodeId node, const Bucket& residents,
                         std::vector<Assignment>& out) {
-  HP_CHECK(static_cast<int>(residents.size()) <= node_degree(node),
+  // The node's out-arcs, derived once: capacity, the policy's available
+  // directions, and the arc-exists check on every assignment below.
+  const std::uint32_t arcs = net_.arc_mask(node);
+  HP_CHECK(static_cast<int>(residents.size()) <= std::popcount(arcs),
            "more packets at a node than its degree — model violation");
 
   Rng node_rng(node_stream_seed(config_.seed, now_, node));
-  NodeContext ctx{net_, node, now_, node_avail_dirs(node), node_rng};
+  NodeContext ctx{net_, node, now_, net::dirlist_from_mask(arcs), node_rng};
 
   InlineVector<PacketView, 2 * net::kMaxDim> views;
   for (PacketId id : residents) {
@@ -554,9 +520,9 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
     const net::Dir d = dirs[i];
     HP_CHECK(d >= 0 && d < net_.num_dirs(),
              "policy '" + policy_.name() + "' returned an invalid direction");
-    HP_CHECK(arc_target(node, d) != net::kInvalidNode,
-             "policy '" + policy_.name() + "' routed a packet off the mesh");
     const std::uint32_t bit = std::uint32_t{1} << d;
+    HP_CHECK((arcs & bit) != 0,
+             "policy '" + policy_.name() + "' routed a packet off the mesh");
     HP_CHECK((used_mask & bit) == 0,
              "policy '" + policy_.name() + "' put two packets on one arc");
     used_mask |= bit;
@@ -627,7 +593,7 @@ void Engine::move_range(std::size_t task, std::size_t begin,
     const FlightTable::Slot s = flight_.slot_of(a.pkt);
     HP_CHECK(s != FlightTable::kNoSlot,
              "assignment for a packet that is not in flight");
-    const net::NodeId to = arc_target(a.node, a.out);
+    const net::NodeId to = net_.neighbor(a.node, a.out);
     HP_CHECK(to != net::kInvalidNode, "movement off the network");
     flight_.move(s, to, a.out, a.advances, a.num_good);
     if (a.advances) {

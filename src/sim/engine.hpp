@@ -57,24 +57,14 @@ enum class Phase : int;
 
 namespace hp::sim {
 
-/// How aggressively the engine trades CPU for memory (docs/SCALE.md).
-enum class MemoryProfile : std::uint8_t {
-  /// Per-node degree/direction/neighbor caches (O(nodes·dirs) bytes) and
-  /// 64-bit FlightTable bookkeeping columns — fastest, the default.
-  kDefault = 0,
-  /// No topology caches (degree/neighbors come from the Network's closed
-  /// forms on demand) and compact 32-bit bookkeeping columns. Identical
-  /// results; meant for million-node meshes where the caches dominate the
-  /// footprint.
-  kLean = 1,
-};
-
 /// Capacity-based accounting of the engine's heap footprint, grouped by
 /// subsystem. Scratch capacities depend on the thread count (per-task
 /// buffers), so totals are reporting data — never part of a deterministic
 /// artifact.
 struct EngineMemoryStats {
-  std::size_t topology_bytes = 0;   ///< degree/dirs/neighbor caches
+  /// Per-node topology state. Always 0: the engine derives every node's
+  /// arcs from the Network's closed forms (Network::arc_mask) on demand.
+  std::size_t topology_bytes = 0;
   std::size_t occupancy_bytes = 0;  ///< per-node buckets, stamps, occupied
   std::size_t flight_bytes = 0;     ///< FlightTable columns + locator
   std::size_t archive_bytes = 0;    ///< ArrivalLog in-memory side
@@ -109,10 +99,6 @@ struct EngineConfig {
   /// unbounded in-memory (default), spill-to-disk, or a fixed-capacity
   /// reservoir sample. See ArchiveConfig (flight_table.hpp).
   ArchiveConfig archive;
-  /// Memory/CPU trade: kLean drops the O(nodes·dirs) topology caches and
-  /// narrows the FlightTable bookkeeping columns to 32 bits. Results are
-  /// bit-identical across profiles (the caches are pure memoization).
-  MemoryProfile memory = MemoryProfile::kDefault;
   /// Wall-clock phase profiling (obs::PhaseProfiler): per-step timings of
   /// the inject/occupancy/route/apply/observe phases plus per-shard
   /// times of every sharded epoch. Off by default; when off the engine
@@ -308,36 +294,10 @@ class Engine {
   /// count because these concatenations are partition-invariant.
   std::size_t sub_tasks(std::size_t items, std::size_t grain) const;
 
-  /// Out-degree of a node: cached in the default profile, the topology's
-  /// closed form in the lean one. Both paths agree bit-for-bit.
-  int node_degree(net::NodeId node) const {
-    return lean_ ? net_.degree(node)
-                 : degree_[static_cast<std::size_t>(node)];
-  }
-  /// Directions with an existing arc out of `node`, ascending.
-  net::DirList node_avail_dirs(net::NodeId node) const;
-  /// Target of the arc `dir` out of `node` (kInvalidNode if absent).
-  net::NodeId arc_target(net::NodeId node, net::Dir dir) const {
-    return lean_ ? net_.neighbor(node, dir)
-                 : neighbor_table_[static_cast<std::size_t>(node) *
-                                       static_cast<std::size_t>(num_dirs_) +
-                                   static_cast<std::size_t>(dir)];
-  }
-
   const net::Network& net_;
   RoutingPolicy& policy_;
   EngineConfig config_;
-
-  // Per-node topology caches, built once in the constructor (the network
-  // is immutable): they keep virtual neighbor()/arc_exists() calls out of
-  // the per-step loops. MemoryProfile::kLean skips them entirely (lean_)
-  // and answers the same queries from the Network's closed forms.
-  bool lean_ = false;
-  int num_dirs_ = 0;
   std::size_t num_nodes_ = 0;
-  std::vector<int> degree_;
-  std::vector<net::DirList> avail_dirs_;
-  std::vector<net::NodeId> neighbor_table_;  // [node * num_dirs_ + dir]
 
   FlightTable flight_;
   ArrivalLog archive_;

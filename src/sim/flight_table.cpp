@@ -14,9 +14,11 @@ namespace {
 constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 std::uint32_t narrow_u32(std::uint64_t v, const char* column) {
-  HP_CHECK(v <= kU32Max, std::string("compact FlightTable column '") +
-                             column + "' overflows 32 bits (value " +
-                             std::to_string(v) + "); use ColumnWidth::kWide");
+  HP_CHECK(v <= kU32Max, std::string("FlightTable column '") + column +
+                             "' overflows 32 bits (value " +
+                             std::to_string(v) +
+                             "): injected-at steps and per-packet deflection "
+                             "counts must stay below the 2^32 horizon");
   return static_cast<std::uint32_t>(v);
 }
 
@@ -30,14 +32,10 @@ void FlightTable::push_locator(PacketId id, Slot slot) {
 }
 
 void FlightTable::bump_deflections(std::size_t i) {
-  if (compact_) {
-    HP_CHECK(deflections32_[i] != kU32Max,
-             "compact FlightTable column 'deflections' overflows 32 bits; "
-             "use ColumnWidth::kWide");
-    ++deflections32_[i];
-  } else {
-    ++deflections64_[i];
-  }
+  HP_CHECK(deflections_[i] != kU32Max,
+           "FlightTable column 'deflections' overflows 32 bits: per-packet "
+           "deflection counts must stay below the 2^32 horizon");
+  ++deflections_[i];
 }
 
 Packet FlightTable::materialize(Slot s) const {
@@ -57,7 +55,10 @@ Packet FlightTable::materialize(Slot s) const {
   return p;
 }
 
-FlightTable::Slot FlightTable::insert(const Packet& p) {
+FlightTable::Slot FlightTable::push_columns(const Packet& p) {
+  // Narrow first so an overflow leaves every column untouched.
+  const std::uint32_t injected_at = narrow_u32(p.injected_at, "injected_at");
+  const std::uint32_t deflections = narrow_u32(p.deflections, "deflections");
   const auto slot = static_cast<Slot>(ids_.size());
   ids_.push_back(p.id);
   src_.push_back(p.src);
@@ -66,14 +67,14 @@ FlightTable::Slot FlightTable::insert(const Packet& p) {
   entry_dir_.push_back(p.last_move_dir);
   prev_advanced_.push_back(p.prev_advanced ? 1 : 0);
   prev_num_good_.push_back(static_cast<std::int8_t>(p.prev_num_good));
-  if (compact_) {
-    injected_at32_.push_back(narrow_u32(p.injected_at, "injected_at"));
-    deflections32_.push_back(narrow_u32(p.deflections, "deflections"));
-  } else {
-    injected_at64_.push_back(p.injected_at);
-    deflections64_.push_back(p.deflections);
-  }
+  injected_at_.push_back(injected_at);
+  deflections_.push_back(deflections);
   initial_distance_.push_back(p.initial_distance);
+  return slot;
+}
+
+FlightTable::Slot FlightTable::insert(const Packet& p) {
+  const Slot slot = push_columns(p);
   push_locator(p.id, slot);
   return slot;
 }
@@ -97,13 +98,8 @@ Packet FlightTable::remove(Slot s, std::uint64_t arrived_at) {
     entry_dir_[i] = entry_dir_[last];
     prev_advanced_[i] = prev_advanced_[last];
     prev_num_good_[i] = prev_num_good_[last];
-    if (compact_) {
-      injected_at32_[i] = injected_at32_[last];
-      deflections32_[i] = deflections32_[last];
-    } else {
-      injected_at64_[i] = injected_at64_[last];
-      deflections64_[i] = deflections64_[last];
-    }
+    injected_at_[i] = injected_at_[last];
+    deflections_[i] = deflections_[last];
     initial_distance_[i] = initial_distance_[last];
     const auto moved =
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(ids_[i]));
@@ -117,13 +113,8 @@ Packet FlightTable::remove(Slot s, std::uint64_t arrived_at) {
   entry_dir_.pop_back();
   prev_advanced_.pop_back();
   prev_num_good_.pop_back();
-  if (compact_) {
-    injected_at32_.pop_back();
-    deflections32_.pop_back();
-  } else {
-    injected_at64_.pop_back();
-    deflections64_.pop_back();
-  }
+  injected_at_.pop_back();
+  deflections_.pop_back();
   initial_distance_.pop_back();
 
   reclaim_locator_prefix();
@@ -196,23 +187,7 @@ void FlightTable::deserialize(util::BinReader& in) {
     p.deflections = in.u64();
     p.initial_distance = in.i32();
 
-    const auto slot = static_cast<Slot>(ids_.size());
-    ids_.push_back(p.id);
-    src_.push_back(p.src);
-    dst_.push_back(p.dst);
-    pos_.push_back(p.pos);
-    entry_dir_.push_back(p.last_move_dir);
-    prev_advanced_.push_back(p.prev_advanced ? 1 : 0);
-    prev_num_good_.push_back(static_cast<std::int8_t>(p.prev_num_good));
-    if (compact_) {
-      injected_at32_.push_back(narrow_u32(p.injected_at, "injected_at"));
-      deflections32_.push_back(narrow_u32(p.deflections, "deflections"));
-    } else {
-      injected_at64_.push_back(p.injected_at);
-      deflections64_.push_back(p.deflections);
-    }
-    initial_distance_.push_back(p.initial_distance);
-
+    const Slot slot = push_columns(p);
     const auto i = static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.id));
     HP_REQUIRE(i >= id_base_ && i - id_base_ < locator_.size(),
                "checkpoint is corrupt (in-flight id outside the locator "
@@ -230,9 +205,8 @@ std::size_t FlightTable::memory_bytes() const {
   };
   return bytes(ids_) + bytes(src_) + bytes(dst_) + bytes(pos_) +
          bytes(entry_dir_) + bytes(prev_advanced_) + bytes(prev_num_good_) +
-         bytes(injected_at64_) + bytes(deflections64_) +
-         bytes(injected_at32_) + bytes(deflections32_) +
-         bytes(initial_distance_) + bytes(locator_);
+         bytes(injected_at_) + bytes(deflections_) + bytes(initial_distance_) +
+         bytes(locator_);
 }
 
 // --- ArrivalLog -------------------------------------------------------------

@@ -16,10 +16,10 @@
 // prefix is reclaimed, so locator memory is O(in-flight + id spread of the
 // in-flight set), not O(ids ever issued).
 //
-// Scale mode (docs/SCALE.md): the id/coordinate columns are 32-bit in every
-// profile; ColumnWidth::kCompact additionally narrows the two 64-bit
-// bookkeeping columns (injected_at, deflections) to 32 bits with overflow
-// checks, and the ArrivalLog can spill records to disk or keep a
+// Scale (docs/SCALE.md): every column is at most 32 bits wide. The two
+// bookkeeping columns (injected_at, deflections) are overflow-checked — a
+// packet injected at step 2^32 or deflected 2^32 times fails loudly rather
+// than truncating — and the ArrivalLog can spill records to disk or keep a
 // fixed-size reservoir sample instead of an unbounded in-memory vector.
 #pragma once
 
@@ -35,24 +35,12 @@
 
 namespace hp::sim {
 
-/// Width of the FlightTable's 64-bit bookkeeping columns. kCompact stores
-/// injected_at / deflections as 32-bit (8 bytes/packet saved) and throws
-/// hp::CheckError on overflow; every other column is 32-bit in both modes.
-enum class ColumnWidth { kWide = 0, kCompact = 1 };
-
 class FlightTable {
  public:
   /// Index of an in-flight packet in the dense arrays. Slots are NOT
   /// stable across remove(); use PacketId + slot_of() to re-address.
   using Slot = std::int32_t;
   static constexpr Slot kNoSlot = -1;
-
-  explicit FlightTable(ColumnWidth width = ColumnWidth::kWide)
-      : compact_(width == ColumnWidth::kCompact) {}
-
-  ColumnWidth column_width() const {
-    return compact_ ? ColumnWidth::kCompact : ColumnWidth::kWide;
-  }
 
   std::size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
@@ -67,12 +55,8 @@ class FlightTable {
   net::Dir entry_dir(Slot s) const { return entry_dir_[idx(s)]; }
   bool prev_advanced(Slot s) const { return prev_advanced_[idx(s)] != 0; }
   int prev_num_good(Slot s) const { return prev_num_good_[idx(s)]; }
-  std::uint64_t injected_at(Slot s) const {
-    return compact_ ? injected_at32_[idx(s)] : injected_at64_[idx(s)];
-  }
-  std::uint64_t deflections(Slot s) const {
-    return compact_ ? deflections32_[idx(s)] : deflections64_[idx(s)];
-  }
+  std::uint64_t injected_at(Slot s) const { return injected_at_[idx(s)]; }
+  std::uint64_t deflections(Slot s) const { return deflections_[idx(s)]; }
   int initial_distance(Slot s) const { return initial_distance_[idx(s)]; }
 
   /// Raw column bases for batch passes over slots [0, size()) — the
@@ -125,8 +109,7 @@ class FlightTable {
 
   /// Serializes the complete table state (columns in slot order + locator
   /// window) — part of the engine checkpoint format (docs/SCALE.md). The
-  /// byte stream is ColumnWidth-independent: bookkeeping columns travel as
-  /// 64-bit and narrow again on restore if the target table is compact.
+  /// bookkeeping columns travel as 64-bit and are range-checked on restore.
   void serialize(util::BinWriter& out) const;
 
   /// Restores state written by serialize() into an empty, fresh table.
@@ -141,11 +124,11 @@ class FlightTable {
   void push_locator(PacketId id, Slot slot);
   void reclaim_locator_prefix();
   void bump_deflections(std::size_t i);
+  /// Appends `p` to every column; returns its slot. Does not touch the
+  /// locator.
+  Slot push_columns(const Packet& p);
 
-  bool compact_;
-
-  // Parallel arrays indexed by slot. The injected_at / deflections columns
-  // exist in exactly one width, selected at construction.
+  // Parallel arrays indexed by slot.
   std::vector<PacketId> ids_;
   std::vector<net::NodeId> src_;
   std::vector<net::NodeId> dst_;
@@ -153,10 +136,8 @@ class FlightTable {
   std::vector<net::Dir> entry_dir_;
   std::vector<std::uint8_t> prev_advanced_;
   std::vector<std::int8_t> prev_num_good_;
-  std::vector<std::uint64_t> injected_at64_;
-  std::vector<std::uint64_t> deflections64_;
-  std::vector<std::uint32_t> injected_at32_;
-  std::vector<std::uint32_t> deflections32_;
+  std::vector<std::uint32_t> injected_at_;
+  std::vector<std::uint32_t> deflections_;
   std::vector<std::int32_t> initial_distance_;
 
   // id → slot window: locator_[id - id_base_]. Entries [0, head_) are all

@@ -12,7 +12,7 @@
 
 namespace hp::net {
 
-class Hypercube : public Network {
+class Hypercube final : public Network {
  public:
   explicit Hypercube(int dim);
 
@@ -26,7 +26,9 @@ class Hypercube : public Network {
   std::string name() const override;
 
   /// Every hypercube node has exactly one arc per address bit.
-  int degree(NodeId) const override { return dim_; }
+  std::uint32_t arc_mask(NodeId) const override {
+    return (std::uint32_t{1} << dim_) - 1u;
+  }
 
   /// Good directions are exactly the differing address bits.
   DirList good_dirs(NodeId at, NodeId dst) const override;

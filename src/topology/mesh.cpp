@@ -13,7 +13,7 @@ Mesh::Mesh(int dim, int side, bool wrap) : dim_(dim), side_(side), wrap_(wrap) {
   HP_REQUIRE(side >= 2, "mesh side must be at least 2");
   std::int64_t nodes = 1;
   for (int a = 0; a < dim; ++a) {
-    stride_[a] = nodes;
+    stride_[a] = static_cast<NodeId>(nodes);
     nodes *= side;
     HP_REQUIRE(nodes <= (1LL << 30), "mesh too large for NodeId");
   }
@@ -21,18 +21,25 @@ Mesh::Mesh(int dim, int side, bool wrap) : dim_(dim), side_(side), wrap_(wrap) {
 }
 
 int Mesh::coord(NodeId node, int axis) const {
-  return static_cast<int>((node / stride_[axis]) % side_);
+  return (node / stride_[axis]) % side_;
 }
 
-int Mesh::degree(NodeId node) const {
-  if (wrap_) return 2 * dim_;
-  int deg = 2 * dim_;
-  for (int a = 0; a < dim_; ++a) {
-    const int pos = coord(node, a);
-    if (pos == 0) --deg;
-    if (pos == side_ - 1) --deg;
+std::uint32_t Mesh::arc_mask(NodeId node) const {
+  const std::uint32_t all = (std::uint32_t{1} << (2 * dim_)) - 1u;
+  if (wrap_) return all;
+  // One coordinate decode; an axis end clears the arc that would leave it.
+  std::uint32_t missing = 0;
+  const auto clear_ends = [&](int axis, int pos) {
+    missing |= static_cast<std::uint32_t>(pos == side_ - 1) << (2 * axis);
+    missing |= static_cast<std::uint32_t>(pos == 0) << (2 * axis + 1);
+  };
+  NodeId v = node;
+  for (int a = 0; a + 1 < dim_; ++a) {
+    clear_ends(a, v % side_);
+    v /= side_;
   }
-  return deg;
+  clear_ends(dim_ - 1, v);  // the top coordinate needs no division
+  return all & ~missing;
 }
 
 Coord Mesh::coords(NodeId node) const {
@@ -59,14 +66,17 @@ NodeId Mesh::node_at(const Coord& c) const {
 NodeId Mesh::neighbor(NodeId node, Dir dir) const {
   HP_REQUIRE(dir >= 0 && dir < num_dirs(), "direction out of range");
   const int axis = axis_of(dir);
-  const int sign = sign_of(dir);
-  const int pos = coord(node, axis);
-  int next = pos + sign;
-  if (next < 0 || next >= side_) {
-    if (!wrap_) return kInvalidNode;
-    next = (next + side_) % side_;
+  const NodeId stride = stride_[axis];
+  const NodeId top = (side_ - 1) * stride;  // offset of coordinate side−1
+  // The node's offset inside its ring along `axis` (coordinate · stride
+  // plus the lower axes' digits): one modulo answers both edge tests.
+  const NodeId within = node % (side_ * stride);
+  if (sign_of(dir) > 0) {
+    if (within < top) return node + stride;
+    return wrap_ ? node - top : kInvalidNode;
   }
-  return node + static_cast<NodeId>((next - pos) * stride_[axis]);
+  if (within >= stride) return node - stride;
+  return wrap_ ? node + top : kInvalidNode;
 }
 
 Dir Mesh::reverse_dir(Dir dir) const {
@@ -86,11 +96,11 @@ int Mesh::distance(NodeId a, NodeId b) const {
 
 DirList Mesh::good_dirs(NodeId at, NodeId dst) const {
   DirList out;
-  std::int64_t va = at;
-  std::int64_t vb = dst;
+  NodeId va = at;
+  NodeId vb = dst;
   for (int axis = 0; axis < dim_; ++axis) {
-    const int ca = static_cast<int>(va % side_);
-    const int cb = static_cast<int>(vb % side_);
+    const int ca = va % side_;
+    const int cb = vb % side_;
     va /= side_;
     vb /= side_;
     if (ca == cb) continue;
@@ -110,14 +120,14 @@ DirList Mesh::good_dirs(NodeId at, NodeId dst) const {
 
 std::uint32_t Mesh::good_mask(NodeId at, NodeId dst) const {
   std::uint32_t mask = 0;
-  std::int64_t va = at;
-  std::int64_t vb = dst;
+  NodeId va = at;
+  NodeId vb = dst;
   if (!wrap_) {
     // Branch-free per axis: exactly one of the two comparisons sets a bit
     // on axes where the coordinates differ, neither where they agree.
     for (int axis = 0; axis < dim_; ++axis) {
-      const int ca = static_cast<int>(va % side_);
-      const int cb = static_cast<int>(vb % side_);
+      const int ca = va % side_;
+      const int cb = vb % side_;
       va /= side_;
       vb /= side_;
       mask |= static_cast<std::uint32_t>(cb > ca) << (2 * axis);
@@ -126,8 +136,8 @@ std::uint32_t Mesh::good_mask(NodeId at, NodeId dst) const {
     return mask;
   }
   for (int axis = 0; axis < dim_; ++axis) {
-    const int ca = static_cast<int>(va % side_);
-    const int cb = static_cast<int>(vb % side_);
+    const int ca = va % side_;
+    const int cb = vb % side_;
     va /= side_;
     vb /= side_;
     if (ca == cb) continue;
@@ -151,11 +161,11 @@ void Mesh::good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
   // arithmetic, laid out for the vectorizer.
   for (std::size_t i = 0; i < count; ++i) {
     std::uint32_t mask = 0;
-    std::int64_t va = at[i];
-    std::int64_t vb = dst[i];
+    NodeId va = at[i];
+    NodeId vb = dst[i];
     for (int axis = 0; axis < dim_; ++axis) {
-      const int ca = static_cast<int>(va % side_);
-      const int cb = static_cast<int>(vb % side_);
+      const int ca = va % side_;
+      const int cb = vb % side_;
       va /= side_;
       vb /= side_;
       mask |= static_cast<std::uint32_t>(cb > ca) << (2 * axis);
@@ -167,11 +177,11 @@ void Mesh::good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
 
 int Mesh::num_good_dirs(NodeId at, NodeId dst) const {
   int count = 0;
-  std::int64_t va = at;
-  std::int64_t vb = dst;
+  NodeId va = at;
+  NodeId vb = dst;
   for (int axis = 0; axis < dim_; ++axis) {
-    const int ca = static_cast<int>(va % side_);
-    const int cb = static_cast<int>(vb % side_);
+    const int ca = va % side_;
+    const int cb = vb % side_;
     va /= side_;
     vb /= side_;
     if (ca == cb) continue;

@@ -16,7 +16,7 @@
 
 namespace hp::net {
 
-class Mesh : public Network {
+class Mesh final : public Network {
  public:
   /// A `dim`-dimensional mesh with `side` nodes per axis. With wrap=true
   /// every axis closes into a ring (the torus used by several related-work
@@ -31,9 +31,10 @@ class Mesh : public Network {
   int diameter() const override;
   std::string name() const override;
 
-  /// Closed form: 2·dim on a torus; otherwise one arc per axis end the
-  /// node does not sit on. Agrees with the base probe loop bit-for-bit.
-  int degree(NodeId node) const override;
+  /// Closed form: every direction on a torus; otherwise all but the "+"
+  /// arc of each axis the node tops out on and the "−" arc of each axis it
+  /// bottoms out on. Agrees with the base probe loop bit-for-bit.
+  std::uint32_t arc_mask(NodeId node) const override;
 
   // Closed-form goodness tests: one coordinate decode instead of the base
   // class's per-direction neighbor() + distance() probes. Must agree with
@@ -83,7 +84,9 @@ class Mesh : public Network {
   bool wrap_;
   std::size_t num_nodes_;
   // stride_[a] = side^a, so coordinate a of node v is (v / stride_[a]) % side.
-  std::int64_t stride_[kMaxDim];
+  // The constructor caps the node count at 2^30, so NodeId arithmetic over
+  // strides never overflows.
+  NodeId stride_[kMaxDim];
 };
 
 }  // namespace hp::net

@@ -2,12 +2,12 @@
 
 namespace hp::net {
 
-int Network::degree(NodeId node) const {
-  int deg = 0;
+std::uint32_t Network::arc_mask(NodeId node) const {
+  std::uint32_t mask = 0;
   for (Dir d = 0; d < num_dirs(); ++d) {
-    if (arc_exists(node, d)) ++deg;
+    if (arc_exists(node, d)) mask |= std::uint32_t{1} << d;
   }
-  return deg;
+  return mask;
 }
 
 DirList Network::good_dirs(NodeId at, NodeId dst) const {

@@ -40,12 +40,14 @@ class Network {
   /// Human-readable topology name for logs and tables.
   virtual std::string name() const = 0;
 
+  /// Out-arcs of `node` as a bitmask: bit d is set iff an arc leaves the
+  /// node in direction d. The base implementation probes every direction
+  /// with neighbor(); topologies override it with closed forms. The engine
+  /// calls this once per routed node instead of caching per-node arcs.
+  virtual std::uint32_t arc_mask(NodeId node) const;
+
   /// Out-degree of `node` (number of directions with an existing arc).
-  /// The base implementation probes every direction with neighbor();
-  /// topologies override it with closed forms — the engine's lean memory
-  /// profile calls this per injection / per routed node instead of keeping
-  /// an O(nodes) cache (docs/SCALE.md).
-  virtual int degree(NodeId node) const;
+  int degree(NodeId node) const { return std::popcount(arc_mask(node)); }
 
   /// True iff an arc in direction `dir` leaves `node`.
   bool arc_exists(NodeId node, Dir dir) const {

@@ -2,7 +2,8 @@
 //
 // These expand to Clang's attributes when compiling with a compiler that
 // understands them and to nothing otherwise (gcc builds are unaffected).
-// Together with the annotated util::Mutex wrapper (util/sync.hpp) they turn
+// Together with the annotated util::Mutex wrapper of the thread-safety
+// fixtures (scripts/analysis/fixtures/threadsafety/sync.hpp) they turn
 // `clang++ -Wthread-safety -Werror` into a *static* race detector over the
 // sharded engine's pool state — the compile-time counterpart of the TSan CI
 // job, in the same way the determinism lint is the compile-time counterpart

@@ -1,21 +1,18 @@
-// FlightTable column widths and the ArrivalLog storage modes
-// (docs/SCALE.md): wide/compact equivalence on the engine scenario
-// corpus, overflow boundaries of the compact columns and the 32-bit id
-// space, and spill/sample archives against the in-memory baseline.
+// FlightTable columns and the ArrivalLog storage modes (docs/SCALE.md):
+// the engine's footprint, overflow boundaries of the 32-bit bookkeeping
+// columns and the 32-bit id space, and spill/sample archives against the
+// in-memory baseline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "routing/restricted_priority.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/flight_table.hpp"
-#include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
 #include "workload/generators.hpp"
@@ -38,127 +35,61 @@ Packet flying(PacketId id, net::NodeId src, net::NodeId dst,
   return p;
 }
 
-// --- wide / compact equivalence --------------------------------------------
-
-TEST(ColumnWidth, InsertMoveRemoveAgreeAcrossWidths) {
-  sim::FlightTable wide(sim::ColumnWidth::kWide);
-  sim::FlightTable compact(sim::ColumnWidth::kCompact);
-  for (auto* t : {&wide, &compact}) {
-    for (PacketId id = 0; id < 8; ++id) {
-      Packet p = flying(id, id, 40 + id, id);
-      p.injected_at = static_cast<std::uint64_t>(id) * 3;
-      p.deflections = static_cast<std::uint64_t>(id);
-      t->insert(p);
-    }
-    t->move(3, 11, 2, /*advanced=*/false, 1);  // one deflection bump
-    t->move(5, 12, 0, /*advanced=*/true, 2);
-  }
-  ASSERT_EQ(wide.size(), compact.size());
-  for (sim::FlightTable::Slot s = 0; s < wide.end_slot(); ++s) {
-    const Packet a = wide.materialize(s);
-    const Packet b = compact.materialize(s);
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.pos, b.pos);
-    EXPECT_EQ(a.injected_at, b.injected_at);
-    EXPECT_EQ(a.deflections, b.deflections);
-    EXPECT_EQ(a.prev_advanced, b.prev_advanced);
-  }
-  const Packet ra = wide.remove(2, 9);
-  const Packet rb = compact.remove(2, 9);
-  EXPECT_EQ(ra.id, rb.id);
-  EXPECT_EQ(ra.arrived_at, rb.arrived_at);
-  EXPECT_EQ(wide.slot_of(ra.id), sim::FlightTable::kNoSlot);
-  EXPECT_EQ(compact.slot_of(rb.id), sim::FlightTable::kNoSlot);
-}
-
-TEST(ColumnWidth, LeanEngineMatchesDefaultOnScenarioCorpus) {
-  // The memory profile must never change results: same fingerprint, same
-  // run statistics, on every topology × workload × policy combination of
-  // the corpus (the seed scenarios the determinism suite pins).
-  struct Scenario {
-    const char* name;
-    int kind;  // 0 = mesh, 1 = torus, 2 = hypercube
-  };
-  for (const auto& sc : {Scenario{"mesh", 0}, Scenario{"torus", 1},
-                         Scenario{"hypercube", 2}}) {
-    std::unique_ptr<net::Network> network;
-    if (sc.kind == 2) {
-      network = std::make_unique<net::Hypercube>(5);
-    } else {
-      network = std::make_unique<net::Mesh>(2, 8, sc.kind == 1);
-    }
-    for (const std::uint64_t seed : {1ULL, 7ULL}) {
-      Rng rng_a(seed);
-      Rng rng_b(seed);
-      auto problem_a = workload::saturated_random(*network, 2, rng_a);
-      auto problem_b = workload::saturated_random(*network, 2, rng_b);
-
-      routing::RestrictedPriorityPolicy policy_a;
-      routing::RestrictedPriorityPolicy policy_b;
-      sim::EngineConfig wide_config;
-      wide_config.seed = seed;
-      sim::EngineConfig lean_config = wide_config;
-      lean_config.memory = sim::MemoryProfile::kLean;
-
-      sim::Engine wide(*network, problem_a, policy_a, wide_config);
-      sim::Engine lean(*network, problem_b, policy_b, lean_config);
-      EXPECT_EQ(wide.flight().column_width(), sim::ColumnWidth::kWide);
-      EXPECT_EQ(lean.flight().column_width(), sim::ColumnWidth::kCompact);
-
-      const auto ra = wide.run();
-      const auto rb = lean.run();
-      EXPECT_EQ(ra.completed, rb.completed) << sc.name;
-      EXPECT_EQ(ra.steps, rb.steps) << sc.name;
-      EXPECT_EQ(ra.total_deflections, rb.total_deflections) << sc.name;
-      EXPECT_EQ(sim::state_fingerprint(wide), sim::state_fingerprint(lean))
-          << sc.name << " seed " << seed;
-    }
-  }
-}
+// --- footprint --------------------------------------------------------------
 
 TEST(ColumnWidth, LeanProfileShrinksTheFootprint) {
+  // The engine keeps no per-node topology state: every node's arcs come
+  // from the Network's closed forms on demand.
   net::Mesh mesh(2, 32);
-  Rng rng_a(3);
-  Rng rng_b(3);
-  auto problem_a = workload::saturated_random(mesh, 4, rng_a);
-  auto problem_b = workload::saturated_random(mesh, 4, rng_b);
-  routing::RestrictedPriorityPolicy pa;
-  routing::RestrictedPriorityPolicy pb;
-  sim::EngineConfig dc;
-  dc.archive_arrivals = false;
-  sim::EngineConfig lc = dc;
-  lc.memory = sim::MemoryProfile::kLean;
-  sim::Engine wide(mesh, problem_a, pa, dc);
-  sim::Engine lean(mesh, problem_b, pb, lc);
-  const auto ws = wide.memory_stats();
-  const auto ls = lean.memory_stats();
-  EXPECT_EQ(ls.topology_bytes, 0u);
-  EXPECT_GT(ws.topology_bytes, 0u);
-  EXPECT_LT(ls.flight_bytes, ws.flight_bytes);
-  EXPECT_LT(ls.total(), ws.total());
+  Rng rng(3);
+  auto problem = workload::saturated_random(mesh, 4, rng);
+  routing::RestrictedPriorityPolicy policy;
+  sim::EngineConfig config;
+  config.archive_arrivals = false;
+  sim::Engine engine(mesh, problem, policy, config);
+  engine.run_for(3);
+  const auto stats = engine.memory_stats();
+  EXPECT_EQ(stats.topology_bytes, 0u);
+  EXPECT_GT(stats.flight_bytes, 0u);
 }
 
 // --- overflow boundaries ----------------------------------------------------
 
+/// Runs `fn`, which must throw CheckError, and returns the error message.
+template <typename Fn>
+std::string check_error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected hp::CheckError";
+  return {};
+}
+
 TEST(ColumnWidth, CompactInjectedAtOverflowIsCheckedNotTruncated) {
-  sim::FlightTable compact(sim::ColumnWidth::kCompact);
+  sim::FlightTable table;
   Packet p = flying(0, 1, 2, 1);
   p.injected_at = std::uint64_t{kU32Max} + 1;
-  EXPECT_THROW(compact.insert(p), CheckError);
-
-  sim::FlightTable wide(sim::ColumnWidth::kWide);
-  EXPECT_NO_THROW(wide.insert(p));
-  EXPECT_EQ(wide.injected_at(0), std::uint64_t{kU32Max} + 1);
+  const std::string error = check_error_of([&] { table.insert(p); });
+  EXPECT_NE(error.find("'injected_at' overflows 32 bits"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("2^32 horizon"), std::string::npos) << error;
+  EXPECT_TRUE(table.empty()) << "a rejected insert must leave no column behind";
 }
 
 TEST(ColumnWidth, CompactDeflectionCounterSaturatesWithAnError) {
-  sim::FlightTable compact(sim::ColumnWidth::kCompact);
+  sim::FlightTable table;
   Packet p = flying(0, 1, 2, 1);
   p.deflections = kU32Max;  // representable, but the next bump is not
-  compact.insert(p);
-  EXPECT_THROW(compact.move(0, 3, 1, /*advanced=*/false, 1), CheckError);
+  table.insert(p);
+  const std::string error = check_error_of(
+      [&] { table.move(0, 3, 1, /*advanced=*/false, 1); });
+  EXPECT_NE(error.find("'deflections' overflows 32 bits"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("2^32 horizon"), std::string::npos) << error;
   // Advancing moves do not touch the counter and stay fine.
-  EXPECT_NO_THROW(compact.move(0, 3, 1, /*advanced=*/true, 1));
+  EXPECT_NO_THROW(table.move(0, 3, 1, /*advanced=*/true, 1));
 }
 
 TEST(FlightTableIds, NodeIdAtInt32MaxRoundTrips) {
@@ -214,40 +145,6 @@ TEST(FlightTableIds, ResetWindowDemandsAFreshTable) {
 }
 
 // --- serialization ----------------------------------------------------------
-
-TEST(FlightTableSerialize, RoundTripsAcrossColumnWidths) {
-  sim::FlightTable wide(sim::ColumnWidth::kWide);
-  for (PacketId id = 0; id < 6; ++id) {
-    Packet p = flying(id, id, 30 + id, 2 * id);
-    p.injected_at = static_cast<std::uint64_t>(id);
-    p.deflections = static_cast<std::uint64_t>(3 * id);
-    wide.insert(p);
-  }
-  wide.remove(1, 7);  // leave a hole so the locator window is non-trivial
-
-  std::ostringstream sink;
-  util::BinWriter w(sink);
-  wide.serialize(w);
-
-  for (const auto width :
-       {sim::ColumnWidth::kWide, sim::ColumnWidth::kCompact}) {
-    std::istringstream source(sink.str());
-    util::BinReader r(source, "checkpoint");
-    sim::FlightTable restored(width);
-    restored.deserialize(r);
-    ASSERT_EQ(restored.size(), wide.size());
-    for (sim::FlightTable::Slot s = 0; s < wide.end_slot(); ++s) {
-      const Packet a = wide.materialize(s);
-      const Packet b = restored.materialize(s);
-      EXPECT_EQ(a.id, b.id);
-      EXPECT_EQ(a.pos, b.pos);
-      EXPECT_EQ(a.injected_at, b.injected_at);
-      EXPECT_EQ(a.deflections, b.deflections);
-    }
-    // The restored window accepts exactly the next dense id.
-    EXPECT_NO_THROW(restored.insert(flying(6, 0, 1, 0)));
-  }
-}
 
 TEST(FlightTableSerialize, TruncatedStreamFailsClearly) {
   sim::FlightTable table;

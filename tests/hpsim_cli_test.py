@@ -206,27 +206,12 @@ def test_checkpoint_roundtrip(hpsim, tmp):
     check("restored run matches the uninterrupted one",
           summary_tail(restored.stdout) == summary_tail(full.stdout))
 
-    lean = run(hpsim, "--topology", "mesh", "--n", "8",
-               "--policy", "restricted", "--seed", "3",
-               "--restore", str(ckpt), "--fingerprint", "--scale")
-    check("--scale restore exits 0", lean.returncode == 0, lean.stderr)
-    check("--scale restore is bit-identical",
-          summary_tail(lean.stdout) == summary_tail(full.stdout))
-
-
-def test_scale_profile_invariance(hpsim):
-    default = run(hpsim, *batch_args("--fingerprint"))
-    lean = run(hpsim, *batch_args("--fingerprint", "--scale"))
-    check("--scale batch run exits 0", lean.returncode == 0, lean.stderr)
-    check("--scale run is bit-identical to the default profile",
-          summary_tail(lean.stdout) == summary_tail(default.stdout))
-
 
 def test_checkpoint_conflicts(hpsim, tmp):
     ckpt = tmp / "x.ckpt"
     for mode in ("--probe", "--sweep-cell"):
         for flag in (["--checkpoint", str(ckpt)], ["--restore", str(ckpt)],
-                     ["--fingerprint"], ["--scale"]):
+                     ["--fingerprint"]):
             proc = run(hpsim, mode, *probe_args(), *flag)
             check(f"{mode} rejects {flag[0]}", proc.returncode == 2,
                   f"exit={proc.returncode}")
@@ -285,7 +270,6 @@ def main():
         test_probe_determinism_across_threads(hpsim)
         test_probe_conflicts(hpsim, tmp)
         test_checkpoint_roundtrip(hpsim, tmp)
-        test_scale_profile_invariance(hpsim)
         test_checkpoint_conflicts(hpsim, tmp)
         test_restore_mismatch_rejected(hpsim, tmp)
     if FAILURES:

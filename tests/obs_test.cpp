@@ -188,13 +188,13 @@ TEST(PhaseProfiler, ShardImbalanceIsMaxOverMean) {
   PhaseProfiler profiler;
   const std::uint64_t even[] = {100, 100};
   const std::uint64_t skewed[] = {300, 100};
-  profiler.add_route_epoch(even, 2);
-  EXPECT_DOUBLE_EQ(profiler.shard_imbalance(), 1.0);
-  profiler.add_route_epoch(skewed, 2);
-  EXPECT_DOUBLE_EQ(profiler.shard_imbalance(), (1.0 + 1.5) / 2.0);
-  EXPECT_EQ(profiler.epochs(), 2u);
-  EXPECT_EQ(profiler.shard_totals()[0], 400u);
-  EXPECT_EQ(profiler.shard_totals()[1], 200u);
+  profiler.add_shard_epoch(Phase::kRoute, even, 2);
+  EXPECT_DOUBLE_EQ(profiler.shard_imbalance(Phase::kRoute), 1.0);
+  profiler.add_shard_epoch(Phase::kRoute, skewed, 2);
+  EXPECT_DOUBLE_EQ(profiler.shard_imbalance(Phase::kRoute), (1.0 + 1.5) / 2.0);
+  EXPECT_EQ(profiler.epochs(Phase::kRoute), 2u);
+  EXPECT_EQ(profiler.shard_stat(Phase::kRoute).totals[0], 400u);
+  EXPECT_EQ(profiler.shard_stat(Phase::kRoute).totals[1], 200u);
 }
 
 TEST(PhaseProfiler, ReportMentionsEveryPhase) {

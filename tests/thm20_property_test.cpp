@@ -15,8 +15,10 @@
 namespace hp {
 namespace {
 
+// gtest prints a parameter's raw bytes into the test's listed name, so Case
+// must have no padding: `n` is 64-bit to keep uninitialized bytes out of it.
 struct Case {
-  int n;
+  std::int64_t n;
   std::size_t k;
   std::uint64_t seed;
   routing::RestrictedPriorityPolicy::TieBreak tie_break;
@@ -27,7 +29,8 @@ class Thm20Sweep : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Thm20Sweep, BoundHolds) {
   const Case c = GetParam();
-  net::Mesh mesh(2, c.n);
+  const int n = static_cast<int>(c.n);
+  net::Mesh mesh(2, n);
   Rng rng(c.seed);
   auto problem = workload::random_many_to_many(mesh, c.k, rng);
 
@@ -40,7 +43,7 @@ TEST_P(Thm20Sweep, BoundHolds) {
   config.seed = c.seed + 1;
   sim::Engine engine(mesh, problem, policy, config);
   core::PotentialTracker::Config potential_config;
-  potential_config.c_init = 2 * c.n;
+  potential_config.c_init = 2 * n;
   potential_config.d = 2;
   core::PotentialTracker potential(mesh, engine, potential_config);
   core::RestrictedPreferenceChecker preference;
@@ -50,13 +53,13 @@ TEST_P(Thm20Sweep, BoundHolds) {
   const auto result = engine.run();
   ASSERT_TRUE(result.completed);
   EXPECT_LE(static_cast<double>(result.steps),
-            core::thm20_bound(c.n, static_cast<double>(c.k)));
+            core::thm20_bound(n, static_cast<double>(c.k)));
   EXPECT_TRUE(preference.violations().empty());
   EXPECT_TRUE(potential.property8_violations().empty());
   EXPECT_TRUE(potential.structure_violations().empty());
   // Theorem 17's premise: Φ(0) ≤ k·M with M = 4n.
   EXPECT_LE(static_cast<double>(potential.phi_series().front()),
-            core::phi0_upper(static_cast<double>(c.k), 4.0 * c.n));
+            core::phi0_upper(static_cast<double>(c.k), 4.0 * n));
 }
 
 std::vector<Case> make_cases() {

@@ -348,34 +348,31 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MeshSweep,
                                             ::testing::Values(2, 3, 4, 5)));
 
 TEST(Degree, ClosedFormsMatchTheProbeLoop) {
-  // The lean engine profile answers degree() from the topologies' closed
-  // forms instead of the cached probe loop (docs/SCALE.md); the two must
-  // agree on every node of every shape, wrap or not.
+  // The engine answers arc_mask() / degree() from the topologies' closed
+  // forms instead of a cached probe loop; the two must agree on every node
+  // of every shape, wrap or not — including side-2 tori, where both arcs
+  // of an axis reach the same node.
   auto probe = [](const Network& net, NodeId v) {
-    int deg = 0;
+    std::uint32_t mask = 0;
     for (Dir d = 0; d < net.num_dirs(); ++d) {
-      if (net.neighbor(v, d) != kInvalidNode) ++deg;
+      if (net.neighbor(v, d) != kInvalidNode) mask |= std::uint32_t{1} << d;
     }
-    return deg;
+    return mask;
+  };
+  auto expect_agree = [&](const Network& net) {
+    for (NodeId v = 0; v < static_cast<NodeId>(net.num_nodes()); ++v) {
+      const std::uint32_t want = probe(net, v);
+      ASSERT_EQ(net.arc_mask(v), want) << net.name() << " node " << v;
+      ASSERT_EQ(net.degree(v), std::popcount(want))
+          << net.name() << " node " << v;
+    }
   };
   for (const int dim : {1, 2, 3}) {
     for (const int side : {2, 3, 5}) {
-      for (const bool wrap : {false, true}) {
-        Mesh mesh(dim, side, wrap);
-        for (NodeId v = 0; v < static_cast<NodeId>(mesh.num_nodes()); ++v) {
-          ASSERT_EQ(mesh.degree(v), probe(mesh, v))
-              << "dim " << dim << " side " << side << " wrap " << wrap
-              << " node " << v;
-        }
-      }
+      for (const bool wrap : {false, true}) expect_agree(Mesh(dim, side, wrap));
     }
   }
-  for (const int dim : {1, 3, 6}) {
-    Hypercube cube(dim);
-    for (NodeId v = 0; v < static_cast<NodeId>(cube.num_nodes()); ++v) {
-      ASSERT_EQ(cube.degree(v), probe(cube, v)) << "dim " << dim;
-    }
-  }
+  for (const int dim : {1, 3, 6}) expect_agree(Hypercube(dim));
 }
 
 }  // namespace
