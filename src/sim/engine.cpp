@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <type_traits>
@@ -96,8 +97,8 @@ void sorted_insert(BucketT& bucket, PacketId id) {
 /// Occupancy-ownership shard count: a function of the node count ALONE.
 /// The owner-grouped occupied_ ordering depends on this value, so it must
 /// never vary with the thread count (or any other machine property) — one
-/// shard per 256 nodes keeps small determinism-corpus meshes on the exact
-/// legacy ordering while giving large networks enough owners to scale.
+/// shard per 256 nodes keeps small meshes on a single owner (first-seen
+/// slot order) while giving large networks enough owners to scale.
 std::size_t occupancy_shard_count(std::size_t num_nodes) {
   return std::clamp<std::size_t>(num_nodes / 256, 1, 32);
 }
@@ -129,10 +130,7 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
   archive_.set_keep_records(config_.archive_arrivals);
 
   occ_shards_ = occupancy_shard_count(num_nodes_);
-  if (occ_shards_ > 1) {
-    shards_.resize(occ_shards_);
-    scatter_.resize(occ_shards_ * occ_shards_);
-  }
+  if (occ_shards_ > 1) scatter_.resize(occ_shards_ * occ_shards_);
 
   problem.validate(net);
   inject(problem);
@@ -223,8 +221,8 @@ EngineMemoryStats Engine::memory_stats() const {
   stats.flight_bytes = flight_.memory_bytes();
   stats.archive_bytes = archive_.memory_bytes();
   stats.scratch_bytes = vec_bytes(assignments_) + vec_bytes(step_arrivals_) +
-                        vec_bytes(good_mask_) + vec_bytes(epoch_ns_) +
-                        vec_bytes(shards_) + vec_bytes(scatter_);
+                        vec_bytes(epoch_ns_) + vec_bytes(shards_) +
+                        vec_bytes(scatter_);
   for (const ShardState& s : shards_) {
     stats.scratch_bytes += vec_bytes(s.route_buf) + vec_bytes(s.occ_nodes) +
                            vec_bytes(s.arrivals);
@@ -333,11 +331,6 @@ void Engine::run_task(TaskKind kind, std::size_t task) {
     case TaskKind::kBucket:
       bucket_owner(task);
       break;
-    case TaskKind::kGoodMask:
-      policy_.batch_good_dirs(net_, flight_.pos_data() + begin,
-                              flight_.dst_data() + begin,
-                              good_mask_.data() + begin, end - begin);
-      break;
     case TaskKind::kRoute:
       route_range(begin, end, shards_[task].route_buf);
       break;
@@ -387,29 +380,16 @@ void Engine::bucket_owner(std::size_t owner) {
 
 void Engine::build_occupancy() {
   occupied_.clear();
+  if (shards_.size() < occ_shards_) shards_.resize(occ_shards_);
   const std::size_t slots = flight_.size();
-  if (occ_shards_ == 1) {
-    // Single-owner networks keep the exact legacy ordering (first seen in
-    // slot order) — the determinism corpus pins this path byte-for-byte.
-    for (FlightTable::Slot s = 0; s < flight_.end_slot(); ++s) {
-      const net::NodeId node = flight_.pos(s);
-      const auto n = static_cast<std::size_t>(node);
-      if (node_stamp_[n] != now_) {
-        node_stamp_[n] = now_;
-        occupancy_[n].clear();
-        occupied_.push_back(node);
-      }
-      sorted_insert(occupancy_[n], flight_.id(s));
-    }
-    return;
-  }
-
-  if (barrier_ != nullptr && slots >= kParallelOccupancyCutoff) {
+  if (barrier_ != nullptr && occ_shards_ > 1 &&
+      slots >= kParallelOccupancyCutoff) {
     run_sharded(TaskKind::kScan, occ_shards_, slots, obs::Phase::kOccupancy);
     run_sharded(TaskKind::kBucket, occ_shards_, occ_shards_,
                 obs::Phase::kOccupancy);
   } else {
-    // Serial fallback producing the identical owner-grouped ordering.
+    // Serial path producing the identical owner-grouped ordering; with
+    // one owner it is plain first-seen slot order.
     for (std::size_t o = 0; o < occ_shards_; ++o) {
       shards_[o].occ_nodes.clear();
     }
@@ -489,20 +469,32 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
   Rng node_rng(node_stream_seed(config_.seed, now_, node));
   NodeContext ctx{net_, node, now_, net::dirlist_from_mask(arcs), node_rng};
 
-  InlineVector<PacketView, 2 * net::kMaxDim> views;
+  constexpr std::size_t kCap = 2 * net::kMaxDim;
+  std::array<net::NodeId, kCap> at{};
+  std::array<net::NodeId, kCap> dst{};
+  std::array<std::uint32_t, kCap> masks{};
+  InlineVector<PacketView, kCap> views;
   for (PacketId id : residents) {
     const FlightTable::Slot s = flight_.slot_of(id);
     PacketView v;
     v.id = id;
     v.dst = flight_.dst(s);
     v.entry_dir = flight_.entry_dir(s);
-    v.good_mask = good_mask_[static_cast<std::size_t>(s)];
+    v.prev_advanced = flight_.prev_advanced(s);
+    v.prev_num_good = flight_.prev_num_good(s);
+    at[views.size()] = node;
+    dst[views.size()] = v.dst;
+    views.push_back(v);
+  }
+  // Every resident's good directions from one policy call per node.
+  policy_.batch_good_dirs(net_, at.data(), dst.data(), masks.data(),
+                          views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    PacketView& v = views[i];
+    v.good_mask = masks[i];
     HP_CHECK(v.good_mask != 0,
              "packet with no good direction was not absorbed — engine bug");
     v.good = net::dirlist_from_mask(v.good_mask);
-    v.prev_advanced = flight_.prev_advanced(s);
-    v.prev_num_good = flight_.prev_num_good(s);
-    views.push_back(v);
   }
 
   InlineVector<net::Dir, 2 * net::kMaxDim> dirs;
@@ -550,14 +542,6 @@ void Engine::route_range(std::size_t begin, std::size_t end,
 }
 
 void Engine::route_all() {
-  // Good-direction masks for every in-flight packet, batched over the
-  // dense pos/dst columns (closed-form topology fast paths, no per-packet
-  // virtual call). Runs after injection so injected packets are covered.
-  const std::size_t slots = flight_.size();
-  good_mask_.resize(slots);
-  run_sharded(TaskKind::kGoodMask, sub_tasks(slots, 2048), slots,
-              obs::Phase::kRoute);
-
   const std::size_t m = occupied_.size();
   const std::size_t tasks = sub_tasks(m, 64);
   if (tasks <= 1) {

@@ -16,18 +16,19 @@
 //     O(in-flight) — independent of how many packets have ever existed,
 //     which is what continuous-injection (steady-state) runs require.
 //   * step() is a deterministic phase pipeline over a persistent worker
-//     pool (util::PhaseBarrier): occupancy scan/bucket, batched
-//     good-direction masks, routing, and the movement half of apply all
-//     run as sharded epochs, while injection, arrival removal and
-//     observation stay serial. Every partition boundary that can reach the
-//     output is a pure function of problem state — occupancy ownership is
-//     keyed by node id over a shard count fixed at construction, and every
-//     other fan-out concatenates per-task buffers in task order, which
-//     reproduces the serial sequence exactly. Work-stealing (barrier
-//     tickets) decides only *which thread* executes a task, never what the
-//     task produces, so runs are bit-for-bit identical for every
-//     EngineConfig::num_threads, including 1. DESIGN.md §5 has the full
-//     argument.
+//     pool (util::PhaseBarrier): occupancy scan/bucket, routing, and the
+//     movement half of apply run as sharded epochs, while injection,
+//     arrival removal and observation stay serial. Routing a node first
+//     computes its residents' good-direction masks with one
+//     RoutingPolicy::batch_good_dirs call. Every partition boundary that
+//     can reach the output is a pure function of problem state —
+//     occupancy ownership is keyed by node id over a shard count fixed at
+//     construction, and every other fan-out concatenates per-task buffers
+//     in task order, which reproduces the serial sequence exactly.
+//     Work-stealing (barrier tickets) decides only *which thread* executes
+//     a task, never what the task produces, so runs are bit-for-bit
+//     identical for every EngineConfig::num_threads, including 1.
+//     DESIGN.md §5 has the full argument.
 //   * Observers receive per-step spans (see observer.hpp): no per-step
 //     copies, no references to the delivered-packet archive.
 #pragma once
@@ -68,7 +69,7 @@ struct EngineMemoryStats {
   std::size_t occupancy_bytes = 0;  ///< per-node buckets, stamps, occupied
   std::size_t flight_bytes = 0;     ///< FlightTable columns + locator
   std::size_t archive_bytes = 0;    ///< ArrivalLog in-memory side
-  std::size_t scratch_bytes = 0;    ///< assignments, masks, shard buffers
+  std::size_t scratch_bytes = 0;    ///< assignments, shard buffers
   std::size_t total() const {
     return topology_bytes + occupancy_bytes + flight_bytes + archive_bytes +
            scratch_bytes;
@@ -240,7 +241,6 @@ class Engine {
   enum class TaskKind : std::uint32_t {
     kScan = 0,   ///< partition flight slots into per-owner scatter rows
     kBucket,     ///< merge scatter columns into one owner's node buckets
-    kGoodMask,   ///< batched good-direction masks over flight columns
     kRoute,      ///< route a contiguous range of occupied nodes
     kMove,       ///< apply movement for a contiguous assignment range
   };
@@ -288,10 +288,10 @@ class Engine {
   std::size_t owner_of(net::NodeId node) const {
     return static_cast<std::size_t>(node) * occ_shards_ / num_nodes_;
   }
-  /// Task count for an output-invariant fan-out (good masks, routing,
-  /// movement): enough tasks for the tickets to balance, never so many
-  /// that per-task overhead dominates. The count can depend on the thread
-  /// count because these concatenations are partition-invariant.
+  /// Task count for an output-invariant fan-out (routing, movement):
+  /// enough tasks for the tickets to balance, never so many that per-task
+  /// overhead dominates. The count can depend on the thread count because
+  /// these concatenations are partition-invariant.
   std::size_t sub_tasks(std::size_t items, std::size_t grain) const;
 
   const net::Network& net_;
@@ -317,13 +317,10 @@ class Engine {
   std::vector<std::uint64_t> node_stamp_;  // occupancy freshness
   std::vector<Assignment> assignments_;
   std::vector<Packet> step_arrivals_;  // this step's arrival records
-  /// Good-direction bitmask per flight slot, batch-computed once per step
-  /// (policy_.batch_good_dirs over the dense pos/dst columns).
-  std::vector<std::uint32_t> good_mask_;
 
   // Deterministic occupancy partition: fixed at construction, a function
-  // of the node count alone. occ_shards_ == 1 keeps the exact legacy
-  // occupied_ ordering on small networks.
+  // of the node count alone. With occ_shards_ == 1 the owner-grouped
+  // occupied_ order is plain first-seen slot order.
   std::size_t occ_shards_ = 1;
 
   // Epoch state. task_kind_/task_count_/task_items_ are written by the

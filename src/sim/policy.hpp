@@ -87,18 +87,19 @@ class RoutingPolicy {
 
   /// Batched good-direction masks for `count` packets: out_masks[i] gets
   /// bit d set iff direction d is good for a packet at at[i] bound for
-  /// dst[i]. The engine calls this once per step over the dense flight
-  /// columns (possibly concurrently over disjoint ranges) and hands each
-  /// packet's mask back through PacketView::good_mask, so route() never
-  /// pays a per-packet virtual topology call. Override only to *redefine*
-  /// goodness (Definition 5); the default delegates to the topology's
-  /// closed-form batch evaluation and is what every policy in this repo
-  /// uses.
+  /// dst[i]. The engine calls this once per routed node per step, over that
+  /// node's residents (so every at[i] is the node), possibly concurrently
+  /// for distinct nodes, and hands each packet's mask to route() through
+  /// PacketView::good_mask. Override only to *redefine* goodness
+  /// (Definition 5); the default evaluates the topology's
+  /// Network::good_mask and is what every policy in this repo uses.
   virtual void batch_good_dirs(const net::Network& net,
                                const net::NodeId* at, const net::NodeId* dst,
                                std::uint32_t* out_masks,
                                std::size_t count) const {
-    net.good_masks(at, dst, out_masks, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      out_masks[i] = net.good_mask(at[i], dst[i]);
+    }
   }
 };
 

@@ -36,15 +36,10 @@ class Mesh final : public Network {
   /// bottoms out on. Agrees with the base probe loop bit-for-bit.
   std::uint32_t arc_mask(NodeId node) const override;
 
-  // Closed-form goodness tests: one coordinate decode instead of the base
-  // class's per-direction neighbor() + distance() probes. Must agree with
-  // the base implementation bit-for-bit (same directions, same order).
-  DirList good_dirs(NodeId at, NodeId dst) const override;
-  int num_good_dirs(NodeId at, NodeId dst) const override;
-  bool is_good_dir(NodeId at, NodeId dst, Dir dir) const override;
+  /// Closed form: one coordinate decode instead of the base class's
+  /// per-direction neighbor() + distance() probes. Agrees with the base
+  /// probe loop bit-for-bit.
   std::uint32_t good_mask(NodeId at, NodeId dst) const override;
-  void good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
-                  std::size_t count) const override;
 
   int dim() const { return dim_; }
   int side() const { return side_; }

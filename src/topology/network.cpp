@@ -1,5 +1,7 @@
 #include "topology/network.hpp"
 
+#include "util/check.hpp"
+
 namespace hp::net {
 
 std::uint32_t Network::arc_mask(NodeId node) const {
@@ -8,31 +10,6 @@ std::uint32_t Network::arc_mask(NodeId node) const {
     if (arc_exists(node, d)) mask |= std::uint32_t{1} << d;
   }
   return mask;
-}
-
-DirList Network::good_dirs(NodeId at, NodeId dst) const {
-  DirList out;
-  const int here = distance(at, dst);
-  for (Dir d = 0; d < num_dirs(); ++d) {
-    const NodeId nb = neighbor(at, d);
-    if (nb != kInvalidNode && distance(nb, dst) < here) out.push_back(d);
-  }
-  return out;
-}
-
-int Network::num_good_dirs(NodeId at, NodeId dst) const {
-  int count = 0;
-  const int here = distance(at, dst);
-  for (Dir d = 0; d < num_dirs(); ++d) {
-    const NodeId nb = neighbor(at, d);
-    if (nb != kInvalidNode && distance(nb, dst) < here) ++count;
-  }
-  return count;
-}
-
-bool Network::is_good_dir(NodeId at, NodeId dst, Dir dir) const {
-  const NodeId nb = neighbor(at, dir);
-  return nb != kInvalidNode && distance(nb, dst) < distance(at, dst);
 }
 
 std::uint32_t Network::good_mask(NodeId at, NodeId dst) const {
@@ -47,9 +24,9 @@ std::uint32_t Network::good_mask(NodeId at, NodeId dst) const {
   return mask;
 }
 
-void Network::good_masks(const NodeId* at, const NodeId* dst,
-                         std::uint32_t* out, std::size_t count) const {
-  for (std::size_t i = 0; i < count; ++i) out[i] = good_mask(at[i], dst[i]);
+bool Network::is_good_dir(NodeId at, NodeId dst, Dir dir) const {
+  HP_REQUIRE(dir >= 0 && dir < num_dirs(), "direction out of range");
+  return ((good_mask(at, dst) >> dir) & 1u) != 0;
 }
 
 std::size_t Network::num_arcs() const {

@@ -54,32 +54,27 @@ class Network {
     return neighbor(node, dir) != kInvalidNode;
   }
 
-  /// Good directions for a packet located at `at` with destination `dst`
-  /// (Definition 5): directions whose arc enters a node strictly closer to
-  /// `dst`, in ascending direction order. Empty iff at == dst. The base
-  /// implementation probes every direction with neighbor() + distance();
-  /// topologies override it with closed-form versions — this is the
-  /// hottest call in the routing phase (once per packet per step).
-  virtual DirList good_dirs(NodeId at, NodeId dst) const;
-
-  /// Number of good directions, without materializing the list.
-  virtual int num_good_dirs(NodeId at, NodeId dst) const;
-
-  /// Good directions as a bitmask: bit d set iff direction d is good for a
-  /// packet at `at` bound for `dst`. Zero iff at == dst. The base version
-  /// probes directions like good_dirs(); topologies override it with
-  /// branchless closed forms.
+  /// Good directions as a bitmask (Definition 5): bit d is set iff the arc
+  /// leaving `at` in direction d enters a node strictly closer to `dst`.
+  /// Zero iff at == dst. The base implementation probes every direction
+  /// with neighbor() + distance() and is the reference definition;
+  /// topologies override it with closed forms. The engine calls this (via
+  /// RoutingPolicy::batch_good_dirs) once per resident of every routed node.
   virtual std::uint32_t good_mask(NodeId at, NodeId dst) const;
 
-  /// Batch form of good_mask() over parallel position/destination arrays —
-  /// the engine's once-per-step evaluation over the dense flight columns.
-  /// Overrides keep the per-element work branch-free so the loop
-  /// vectorizes; the base version just loops good_mask().
-  virtual void good_masks(const NodeId* at, const NodeId* dst,
-                          std::uint32_t* out, std::size_t count) const;
+  /// Good directions in ascending direction order.
+  DirList good_dirs(NodeId at, NodeId dst) const {
+    return dirlist_from_mask(good_mask(at, dst));
+  }
+
+  /// Number of good directions.
+  int num_good_dirs(NodeId at, NodeId dst) const {
+    return std::popcount(good_mask(at, dst));
+  }
 
   /// True if direction `dir` is good for a packet at `at` headed to `dst`.
-  virtual bool is_good_dir(NodeId at, NodeId dst, Dir dir) const;
+  /// `dir` must lie in [0, num_dirs()).
+  bool is_good_dir(NodeId at, NodeId dst, Dir dir) const;
 
   /// Total number of directed arcs in the network.
   std::size_t num_arcs() const;

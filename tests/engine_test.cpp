@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
+#include <mutex>
 #include <set>
+#include <vector>
 
+#include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/livelock.hpp"
 #include "test_support.hpp"
@@ -250,6 +254,75 @@ TEST(Engine, AssignmentFlagsAreConsistent) {
   } check(mesh);
   engine.add_observer(&check);
   EXPECT_TRUE(engine.run().completed);
+}
+
+TEST(Engine, GoodDirectionHookRunsOncePerRoutedNode) {
+  // RoutingPolicy::batch_good_dirs is the Definition 5 redefinition hook:
+  // the engine must call it once per routed node per step, for that node's
+  // residents only, and hand route() exactly the masks it returned.
+  class HookRecorder final : public FirstGoodPolicy {
+   public:
+    void batch_good_dirs(const net::Network& net, const net::NodeId* at,
+                         const net::NodeId* dst, std::uint32_t* out_masks,
+                         std::size_t count) const override {
+      RoutingPolicy::batch_good_dirs(net, at, dst, out_masks, count);
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls;
+      for (std::size_t i = 0; i < count; ++i) stray_at += at[i] != at[0];
+      std::vector<std::uint32_t> masks(out_masks, out_masks + count);
+      if (!hooked.emplace(at[0], std::move(masks)).second) ++repeats;
+    }
+    void route(const sim::NodeContext& ctx,
+               std::span<const sim::PacketView> packets,
+               std::span<net::Dir> out) override {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        for (const sim::PacketView& p : packets) {
+          routed[ctx.node].push_back(p.good_mask);
+        }
+      }
+      FirstGoodPolicy::route(ctx, packets, out);
+    }
+    void reset() {
+      calls = stray_at = repeats = 0;
+      hooked.clear();
+      routed.clear();
+    }
+
+    mutable std::mutex mu;
+    mutable std::size_t calls = 0;
+    mutable int stray_at = 0;
+    mutable int repeats = 0;
+    /// Per node: the masks the hook returned / the masks route() saw.
+    mutable std::map<net::NodeId, std::vector<std::uint32_t>> hooked;
+    std::map<net::NodeId, std::vector<std::uint32_t>> routed;
+  };
+
+  net::Mesh mesh(2, 16);
+  Rng rng(11);
+  const auto problem = workload::saturated_random(mesh, 2, rng);
+  for (const int threads : {1, 4}) {
+    sim::EngineConfig config;
+    config.num_threads = threads;
+    HookRecorder hook;
+    FirstGoodPolicy bare;
+    sim::Engine engine(mesh, problem, hook, config);
+    sim::Engine reference(mesh, problem, bare, config);
+    for (int step = 0; step < 500 && engine.in_flight() > 0; ++step) {
+      ASSERT_TRUE(engine.step());
+      ASSERT_TRUE(reference.step());
+      EXPECT_FALSE(hook.routed.empty());
+      EXPECT_EQ(hook.calls, hook.routed.size()) << "step " << step;
+      EXPECT_EQ(hook.repeats, 0) << "step " << step;
+      EXPECT_EQ(hook.stray_at, 0) << "step " << step;
+      EXPECT_EQ(hook.hooked, hook.routed) << "step " << step;
+      ASSERT_EQ(sim::state_fingerprint(engine),
+                sim::state_fingerprint(reference))
+          << "threads " << threads << " step " << step;
+      hook.reset();
+    }
+    EXPECT_EQ(engine.in_flight(), 0u);
+  }
 }
 
 TEST(Engine, DeterministicPoliciesReproduce) {

@@ -37,7 +37,7 @@ Packet flying(PacketId id, net::NodeId src, net::NodeId dst,
 
 // --- footprint --------------------------------------------------------------
 
-TEST(ColumnWidth, LeanProfileShrinksTheFootprint) {
+TEST(FlightTableFootprint, EngineKeepsNoPerNodeTopologyState) {
   // The engine keeps no per-node topology state: every node's arcs come
   // from the Network's closed forms on demand.
   net::Mesh mesh(2, 32);
@@ -67,7 +67,7 @@ std::string check_error_of(Fn fn) {
   return {};
 }
 
-TEST(ColumnWidth, CompactInjectedAtOverflowIsCheckedNotTruncated) {
+TEST(FlightTableOverflow, InjectedAtOverflowIsCheckedNotTruncated) {
   sim::FlightTable table;
   Packet p = flying(0, 1, 2, 1);
   p.injected_at = std::uint64_t{kU32Max} + 1;
@@ -78,7 +78,7 @@ TEST(ColumnWidth, CompactInjectedAtOverflowIsCheckedNotTruncated) {
   EXPECT_TRUE(table.empty()) << "a rejected insert must leave no column behind";
 }
 
-TEST(ColumnWidth, CompactDeflectionCounterSaturatesWithAnError) {
+TEST(FlightTableOverflow, DeflectionCounterSaturatesWithAnError) {
   sim::FlightTable table;
   Packet p = flying(0, 1, 2, 1);
   p.deflections = kU32Max;  // representable, but the next bump is not

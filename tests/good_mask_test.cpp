@@ -1,74 +1,77 @@
-// Brute-force equivalence for PR 5's batched good-direction fast path:
-// `good_mask` / `good_masks` must agree bit-for-bit with the per-packet
-// `good_dirs` probe over randomized (position, destination) pairs on
-// meshes, tori, and hypercubes — including the at == dst empty case.
+// Definition 5 equivalence: each topology's closed-form `good_mask` must
+// agree bit-for-bit with an in-test probe of the definition (directions
+// whose arc enters a node strictly closer to the destination, found with
+// neighbor() + distance()) over randomized (position, destination) pairs on
+// meshes, tori, and hypercubes — including the at == dst empty case. The
+// views derived from the mask (`good_dirs` order, `num_good_dirs`,
+// `is_good_dir`) are checked against the same probe, since the routing
+// engine's behaviour and the determinism golden corpus depend on both
+// content and order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "topology/network.hpp"
 #include "topology/types.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hp::net {
 namespace {
 
-std::uint32_t mask_from_dirs(const DirList& dirs) {
-  std::uint32_t mask = 0;
-  for (const Dir d : dirs) {
-    mask |= 1u << static_cast<unsigned>(d);
+/// Definition 5 by brute force, in ascending direction order.
+DirList probe_good_dirs(const Network& net, NodeId at, NodeId dst) {
+  DirList out;
+  const int here = net.distance(at, dst);
+  for (Dir d = 0; d < net.num_dirs(); ++d) {
+    const NodeId nb = net.neighbor(at, d);
+    if (nb != kInvalidNode && net.distance(nb, dst) < here) out.push_back(d);
   }
-  return mask;
+  return out;
 }
 
-// Draws `count` random pairs (plus a few forced at == dst pairs) and checks
-// every good-direction view of the topology against the good_dirs() probe:
-// the scalar mask, the batched masks, the popcount, the canonical
-// mask-to-list order, and the per-direction predicate.
+void expect_matches_probe(const Network& net, NodeId at, NodeId dst) {
+  const DirList probe = probe_good_dirs(net, at, dst);
+  std::uint32_t ref = 0;
+  for (const Dir d : probe) ref |= std::uint32_t{1} << d;
+  ASSERT_EQ(net.good_mask(at, dst), ref)
+      << net.name() << " at=" << at << " dst=" << dst;
+  ASSERT_EQ(net.good_dirs(at, dst), probe)
+      << net.name() << ": good_dirs must come out in ascending order";
+  ASSERT_EQ(net.num_good_dirs(at, dst), static_cast<int>(probe.size()));
+  for (Dir d = 0; d < net.num_dirs(); ++d) {
+    ASSERT_EQ(net.is_good_dir(at, dst, d), ((ref >> d) & 1u) != 0)
+        << net.name() << " at=" << at << " dst=" << dst << " dir=" << int{d};
+  }
+  if (at == dst) {
+    ASSERT_EQ(ref, 0u) << "arrived packets have no good direction";
+  }
+}
+
+/// `count` random pairs, every 16th forced to at == dst.
 void expect_equivalence(const Network& net, std::uint64_t seed,
                         std::size_t count) {
   Rng rng(seed);
   const auto n = static_cast<std::uint64_t>(net.num_nodes());
-  std::vector<NodeId> at(count);
-  std::vector<NodeId> dst(count);
   for (std::size_t i = 0; i < count; ++i) {
-    at[i] = static_cast<NodeId>(rng.uniform(n));
-    dst[i] = (i % 16 == 0) ? at[i] : static_cast<NodeId>(rng.uniform(n));
-  }
-
-  std::vector<std::uint32_t> batch(count);
-  net.good_masks(at.data(), dst.data(), batch.data(), count);
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const DirList dirs = net.good_dirs(at[i], dst[i]);
-    const std::uint32_t ref = mask_from_dirs(dirs);
-    ASSERT_EQ(net.good_mask(at[i], dst[i]), ref)
-        << net.name() << " at=" << at[i] << " dst=" << dst[i];
-    ASSERT_EQ(batch[i], ref)
-        << net.name() << " at=" << at[i] << " dst=" << dst[i];
-    ASSERT_EQ(net.num_good_dirs(at[i], dst[i]),
-              static_cast<int>(dirs.size()));
-    ASSERT_EQ(dirlist_from_mask(ref), dirs)
-        << net.name() << ": good_dirs must come out in mask bit order";
-    for (Dir d = 0; d < static_cast<Dir>(net.num_dirs()); ++d) {
-      ASSERT_EQ(net.is_good_dir(at[i], dst[i], d), (ref >> d & 1u) != 0);
-    }
-    if (at[i] == dst[i]) {
-      ASSERT_EQ(ref, 0u) << "arrived packets have no good direction";
-    }
+    const auto at = static_cast<NodeId>(rng.uniform(n));
+    const auto dst =
+        (i % 16 == 0) ? at : static_cast<NodeId>(rng.uniform(n));
+    expect_matches_probe(net, at, dst);
   }
 }
 
 TEST(GoodMaskEquivalence, Mesh2D) {
   expect_equivalence(Mesh(2, 7), 0xA11CE1u, 512);
+  expect_equivalence(Mesh(2, 9), 1, 500);
 }
 
 TEST(GoodMaskEquivalence, Mesh3D) {
   expect_equivalence(Mesh(3, 5), 0xB0B0Bu, 512);
+  expect_equivalence(Mesh(3, 4), 2, 500);
 }
 
 TEST(GoodMaskEquivalence, Mesh4DSmallSide) {
@@ -76,11 +79,13 @@ TEST(GoodMaskEquivalence, Mesh4DSmallSide) {
 }
 
 TEST(GoodMaskEquivalence, Torus2D) {
+  // Even sides have antipodal ties (both directions good); odd sides none.
   expect_equivalence(Mesh(2, 6, /*wrap=*/true), 0xD00Du, 512);
+  expect_equivalence(Mesh(2, 8, /*wrap=*/true), 3, 500);
+  expect_equivalence(Mesh(2, 7, /*wrap=*/true), 4, 500);
 }
 
 TEST(GoodMaskEquivalence, Torus3DOddSide) {
-  // Odd side: no antipodal tie on any axis; even side (above) has them.
   expect_equivalence(Mesh(3, 5, /*wrap=*/true), 0xE55Eu, 512);
 }
 
@@ -97,22 +102,22 @@ TEST(GoodMaskEquivalence, ExhaustiveTinyMesh) {
   for (const bool wrap : {false, true}) {
     const Mesh m(2, 3, wrap);
     const auto n = static_cast<NodeId>(m.num_nodes());
-    std::vector<NodeId> at;
-    std::vector<NodeId> dst;
     for (NodeId a = 0; a < n; ++a) {
-      for (NodeId b = 0; b < n; ++b) {
-        at.push_back(a);
-        dst.push_back(b);
-      }
-    }
-    std::vector<std::uint32_t> batch(at.size());
-    m.good_masks(at.data(), dst.data(), batch.data(), at.size());
-    for (std::size_t i = 0; i < at.size(); ++i) {
-      const std::uint32_t ref = mask_from_dirs(m.good_dirs(at[i], dst[i]));
-      ASSERT_EQ(m.good_mask(at[i], dst[i]), ref);
-      ASSERT_EQ(batch[i], ref);
+      for (NodeId b = 0; b < n; ++b) expect_matches_probe(m, a, b);
     }
   }
+}
+
+TEST(GoodMaskEquivalence, IsGoodDirRejectsOutOfRangeDirections) {
+  const auto expect_rejects = [](const Network& net) {
+    const auto past_end = static_cast<Dir>(net.num_dirs());
+    EXPECT_THROW(net.is_good_dir(0, 5, past_end), CheckError) << net.name();
+    EXPECT_THROW(net.is_good_dir(0, 5, kInvalidDir), CheckError)
+        << net.name();
+  };
+  expect_rejects(Mesh(2, 4));
+  expect_rejects(Mesh(2, 4, /*wrap=*/true));
+  expect_rejects(Hypercube(4));
 }
 
 }  // namespace

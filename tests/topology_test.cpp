@@ -9,7 +9,6 @@
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace hp::net {
 namespace {
@@ -194,60 +193,6 @@ TEST(Mesh, TwoNeighborsShareParityClass) {
       EXPECT_EQ(m.parity_class(v), m.parity_class(nn));
     }
   }
-}
-
-// The closed-form good_dirs/num_good_dirs/is_good_dir overrides must agree
-// with the definition — direction content AND order — since the routing
-// engine's behaviour (and the determinism golden corpus) depends on both.
-void expect_goodness_matches_probe(const Network& net, std::uint64_t seed) {
-  Rng rng(seed);
-  const auto n = static_cast<NodeId>(net.num_nodes());
-  for (int trial = 0; trial < 500; ++trial) {
-    const auto at = static_cast<NodeId>(rng.uniform(net.num_nodes()));
-    const auto dst = static_cast<NodeId>(rng.uniform(net.num_nodes()));
-    DirList probe;
-    const int here = net.distance(at, dst);
-    for (Dir d = 0; d < net.num_dirs(); ++d) {
-      const NodeId nb = net.neighbor(at, d);
-      if (nb != kInvalidNode && net.distance(nb, dst) < here) {
-        probe.push_back(d);
-      }
-    }
-    const DirList fast = net.good_dirs(at, dst);
-    ASSERT_EQ(fast.size(), probe.size()) << "at=" << at << " dst=" << dst;
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i], probe[i]) << "at=" << at << " dst=" << dst;
-    }
-    EXPECT_EQ(net.num_good_dirs(at, dst), static_cast<int>(probe.size()));
-    for (Dir d = 0; d < net.num_dirs(); ++d) {
-      bool in_probe = false;
-      for (Dir g : probe) in_probe |= (g == d);
-      EXPECT_EQ(net.is_good_dir(at, dst, d), in_probe)
-          << "at=" << at << " dst=" << dst << " dir=" << int{d};
-    }
-  }
-  (void)n;
-}
-
-TEST(GoodDirs, MeshOverrideMatchesDefinition) {
-  Mesh mesh(2, 9);
-  expect_goodness_matches_probe(mesh, 1);
-  Mesh mesh3(3, 4);
-  expect_goodness_matches_probe(mesh3, 2);
-}
-
-TEST(GoodDirs, TorusOverrideMatchesDefinition) {
-  Mesh even(2, 8, /*wrap=*/true);  // even side: antipodal ties both good
-  expect_goodness_matches_probe(even, 3);
-  Mesh odd(2, 7, /*wrap=*/true);
-  expect_goodness_matches_probe(odd, 4);
-  Mesh odd3(3, 5, /*wrap=*/true);
-  expect_goodness_matches_probe(odd3, 5);
-}
-
-TEST(GoodDirs, HypercubeOverrideMatchesDefinition) {
-  Hypercube cube(6);
-  expect_goodness_matches_probe(cube, 6);
 }
 
 TEST(Torus, WrapsAround) {
