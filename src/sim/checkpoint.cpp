@@ -83,19 +83,15 @@ class CheckpointIO {
   static std::uint64_t fingerprint(const Engine& e) {
     // Digest the state sections through a BinWriter over a scratch
     // stream: the fingerprint is exactly the FNV-1a hash the checkpoint
-    // trailer would carry, minus the header. Spill/sample archives
-    // contribute their exact counts instead of records (which live
-    // outside the engine), so the fingerprint is total.
+    // trailer would carry, minus the header.
     std::ostringstream sink;
     util::BinWriter w(sink);
     write_counters(e, w);
     e.flight_.serialize(w);
     w.u64(e.archive_.count());
-    w.u64(e.archive_.dropped());
-    if (e.archive_.keeps_records() &&
-        e.archive_.mode() == ArchiveMode::kMemory) {
-      for (const Packet& p : e.archive_.records()) write_packet_record(w, p);
-    }
+    // Records a count-only archive dropped: keeps the pinned byte layout.
+    w.u64(e.archive_.keeps_records() ? 0 : e.archive_.count());
+    for (const Packet& p : e.archive_.records()) write_packet_record(w, p);
     return w.digest();
   }
 

@@ -27,9 +27,9 @@ class Engine;
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b435048;  // "HPCK"
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
-/// Writes a checkpoint of `engine` at its current step boundary. Requires
-/// the in-memory arrival archive (or archive_arrivals off) — spill/sample
-/// archives hold state outside the checkpoint.
+/// Writes a checkpoint of `engine` at its current step boundary: the
+/// archived records, or only their count when archive_arrivals is off.
+/// The path overload throws hp::CheckError if the file cannot be written.
 void save_checkpoint(const Engine& engine, std::ostream& out);
 void save_checkpoint(const Engine& engine, const std::string& path);
 
@@ -37,6 +37,7 @@ void save_checkpoint(const Engine& engine, const std::string& path);
 /// no packets injected — use an empty workload::Problem). The engine must
 /// have been built over the same topology, policy, seed, and
 /// archive_arrivals flag the checkpoint names; the thread count may differ.
+/// The path overload throws hp::CheckError if the file cannot be opened.
 void restore_checkpoint(Engine& engine, std::istream& in);
 void restore_checkpoint(Engine& engine, const std::string& path);
 
@@ -44,8 +45,8 @@ void restore_checkpoint(Engine& engine, const std::string& path);
 /// flight column in slot order, the locator window, and the arrival
 /// archive. Two engines with equal fingerprints continue identically;
 /// slot order is part of the determinism contract, so the fingerprint is
-/// thread-count invariant. Defined for every archive mode (spill/sample
-/// contribute their exact counts, not their retained records).
+/// thread-count invariant. A count-only archive (archive_arrivals off)
+/// contributes its count.
 std::uint64_t state_fingerprint(const Engine& engine);
 
 }  // namespace hp::sim

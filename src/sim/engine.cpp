@@ -126,7 +126,6 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
       node_stamp_(net.num_nodes(), ~std::uint64_t{0}) {
   HP_REQUIRE(config_.num_threads >= 1 && config_.num_threads <= 512,
              "num_threads must be in [1, 512]");
-  archive_.configure(config_.archive);
   archive_.set_keep_records(config_.archive_arrivals);
 
   occ_shards_ = occupancy_shard_count(num_nodes_);
@@ -198,9 +197,6 @@ net::NodeId Engine::packet_dst(PacketId id) const {
 std::vector<Packet> Engine::snapshot_packets() const {
   HP_REQUIRE(config_.archive_arrivals,
              "snapshot_packets() needs archive_arrivals = true");
-  HP_REQUIRE(archive_.mode() == ArchiveMode::kMemory,
-             "snapshot_packets() needs the in-memory arrival archive; spill "
-             "and sample modes drop or reorder records");
   std::vector<Packet> out(static_cast<std::size_t>(next_id_));
   for (const Packet& p : archive_.records()) {
     out[static_cast<std::size_t>(p.id)] = p;
@@ -670,9 +666,7 @@ RunResult Engine::make_result() {
   result.total_deflections = total_deflections_;
   result.total_advances = total_advances_;
   result.num_packets = num_packets();
-  if (config_.archive_arrivals && archive_.mode() == ArchiveMode::kMemory) {
-    result.packets = snapshot_packets();
-  }
+  if (config_.archive_arrivals) result.packets = snapshot_packets();
   return result;
 }
 

@@ -68,7 +68,7 @@ struct EngineMemoryStats {
   std::size_t topology_bytes = 0;
   std::size_t occupancy_bytes = 0;  ///< per-node buckets, stamps, occupied
   std::size_t flight_bytes = 0;     ///< FlightTable columns + locator
-  std::size_t archive_bytes = 0;    ///< ArrivalLog in-memory side
+  std::size_t archive_bytes = 0;    ///< ArrivalLog records + id index
   std::size_t scratch_bytes = 0;    ///< assignments, shard buffers
   std::size_t total() const {
     return topology_bytes + occupancy_bytes + flight_bytes + archive_bytes +
@@ -96,10 +96,6 @@ struct EngineConfig {
   /// the archive would grow without limit; observers still see every
   /// arrival record via StepRecord::arrivals.
   bool archive_arrivals = true;
-  /// Storage mode of the arrival archive when archive_arrivals is on:
-  /// unbounded in-memory (default), spill-to-disk, or a fixed-capacity
-  /// reservoir sample. See ArchiveConfig (flight_table.hpp).
-  ArchiveConfig archive;
   /// Wall-clock phase profiling (obs::PhaseProfiler): per-step timings of
   /// the inject/occupancy/route/apply/observe phases plus per-shard
   /// times of every sharded epoch. Off by default; when off the engine
@@ -176,13 +172,8 @@ class Engine {
   const FlightTable& flight() const { return flight_; }
 
   /// Records of delivered packets, in arrival order. Empty when
-  /// EngineConfig::archive_arrivals is false. Only the in-memory archive
-  /// mode keeps the full set here; see arrival_log() for spill/sample.
+  /// EngineConfig::archive_arrivals is false.
   std::span<const Packet> archive() const { return archive_.records(); }
-
-  /// The arrival archive itself — drain()/dropped()/count() for the
-  /// spill and sample modes.
-  const ArrivalLog& arrival_log() const { return archive_; }
 
   /// Total packets ever created (batch + injected, including trivial).
   std::size_t num_packets() const { return static_cast<std::size_t>(next_id_); }
@@ -202,16 +193,9 @@ class Engine {
   std::uint64_t now() const { return now_; }
   std::size_t in_flight() const { return flight_.size(); }
   bool livelocked() const { return livelocked_; }
-  /// Step at which the last arrival so far happened (0 if none yet).
-  std::uint64_t last_arrival_step() const { return last_arrival_; }
 
   /// Ids of the packets currently at `node`, ascending.
   std::vector<PacketId> packets_at(net::NodeId node) const;
-
-  /// Occupancy-ownership shards (fixed at construction from the node
-  /// count, never from the thread count — part of the determinism
-  /// contract; see DESIGN.md §5).
-  std::size_t occupancy_shards() const { return occ_shards_; }
 
   /// Phase profiler, present iff EngineConfig::profile. Wall-clock data:
   /// report-only, never part of a deterministic artifact unless the

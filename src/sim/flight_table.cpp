@@ -1,8 +1,7 @@
 #include "sim/flight_table.hpp"
 
-#include <algorithm>
-#include <fstream>
 #include <limits>
+#include <string>
 #include <type_traits>
 
 #include "util/check.hpp"
@@ -241,143 +240,22 @@ Packet read_packet_record(util::BinReader& in) {
   return p;
 }
 
-void ArrivalLog::configure(const ArchiveConfig& config) {
-  HP_REQUIRE(count_ == 0, "ArrivalLog::configure must precede any append");
-  if (config.mode == ArchiveMode::kSpill) {
-    HP_REQUIRE(!config.spill_path.empty(),
-               "ArchiveMode::kSpill needs a spill_path");
-    HP_REQUIRE(config.spill_buffer_records > 0,
-               "spill_buffer_records must be > 0");
-    std::ofstream out(config.spill_path,
-                      std::ios::binary | std::ios::trunc);
-    HP_REQUIRE(out.good(),
-               "cannot create arrival spill file " + config.spill_path);
-  }
-  if (config.mode == ArchiveMode::kSample) {
-    HP_REQUIRE(config.sample_capacity > 0, "sample_capacity must be > 0");
-  }
-  config_ = config;
-  sample_rng_ = Rng(config.sample_seed);
-}
-
-void ArrivalLog::flush_spill() const {
-  if (spill_buf_.empty()) return;
-  std::ofstream out(config_.spill_path,
-                    std::ios::binary | std::ios::app);
-  HP_REQUIRE(out.good(),
-             "cannot open arrival spill file " + config_.spill_path);
-  util::BinWriter writer(out);
-  for (const Packet& p : spill_buf_) write_packet_record(writer, p);
-  HP_REQUIRE(writer.good(),
-             "write to arrival spill file " + config_.spill_path + " failed");
-  spill_buf_.clear();
-}
-
 void ArrivalLog::append(const Packet& p) {
   ++count_;
   if (!keep_) return;
-  switch (config_.mode) {
-    case ArchiveMode::kMemory: {
-      const auto i =
-          static_cast<std::size_t>(static_cast<std::uint32_t>(p.id));
-      if (index_by_id_.size() <= i) index_by_id_.resize(i + 1, -1);
-      index_by_id_[i] = static_cast<std::int64_t>(records_.size());
-      records_.push_back(p);
-      ++retained_;
-      return;
-    }
-    case ArchiveMode::kSpill: {
-      spill_buf_.push_back(p);
-      if (spill_buf_.size() >= config_.spill_buffer_records) flush_spill();
-      ++retained_;
-      return;
-    }
-    case ArchiveMode::kSample: {
-      // Algorithm R: record i (0-based) replaces a uniform reservoir entry
-      // with probability capacity / (i + 1). Deterministic in the append
-      // sequence alone.
-      const std::uint64_t i = count_ - 1;
-      if (records_.size() < config_.sample_capacity) {
-        records_.push_back(p);
-        ++retained_;
-        return;
-      }
-      const std::uint64_t j = sample_rng_.uniform(i + 1);
-      if (j < config_.sample_capacity) {
-        records_[static_cast<std::size_t>(j)] = p;
-      }
-      return;
-    }
-  }
-}
-
-std::vector<Packet> ArrivalLog::drain() const {
-  switch (config_.mode) {
-    case ArchiveMode::kMemory:
-      return {records_.begin(), records_.end()};
-    case ArchiveMode::kSpill: {
-      flush_spill();
-      std::vector<Packet> out;
-      std::ifstream in(config_.spill_path, std::ios::binary);
-      HP_REQUIRE(in.good(),
-                 "cannot open arrival spill file " + config_.spill_path);
-      util::BinReader reader(in, "arrival spill file");
-      while (in.peek() != std::char_traits<char>::eof()) {
-        out.push_back(read_packet_record(reader));
-      }
-      return out;
-    }
-    case ArchiveMode::kSample: {
-      // The reservoir is not in arrival order (replacement overwrites in
-      // place); id order is the canonical presentation.
-      std::vector<Packet> out(records_.begin(), records_.end());
-      std::sort(out.begin(), out.end(),
-                [](const Packet& a, const Packet& b) { return a.id < b.id; });
-      return out;
-    }
-  }
-  return {};
+  const auto i = static_cast<std::size_t>(static_cast<std::uint32_t>(p.id));
+  if (index_by_id_.size() <= i) index_by_id_.resize(i + 1, -1);
+  index_by_id_[i] = static_cast<std::int64_t>(records_.size());
+  records_.push_back(p);
 }
 
 const Packet* ArrivalLog::find(PacketId id) const {
-  switch (config_.mode) {
-    case ArchiveMode::kMemory: {
-      const auto i =
-          static_cast<std::size_t>(static_cast<std::uint32_t>(id));
-      if (i >= index_by_id_.size() || index_by_id_[i] < 0) return nullptr;
-      return &records_[static_cast<std::size_t>(index_by_id_[i])];
-    }
-    case ArchiveMode::kSpill: {
-      for (const Packet& p : spill_buf_) {
-        if (p.id == id) return &p;
-      }
-      std::ifstream in(config_.spill_path, std::ios::binary);
-      if (!in.good()) return nullptr;
-      util::BinReader reader(in, "arrival spill file");
-      while (in.peek() != std::char_traits<char>::eof()) {
-        const Packet p = read_packet_record(reader);
-        if (p.id == id) {
-          find_scratch_ = p;
-          return &find_scratch_;
-        }
-      }
-      return nullptr;
-    }
-    case ArchiveMode::kSample: {
-      for (const Packet& p : records_) {
-        if (p.id == id) return &p;
-      }
-      return nullptr;
-    }
-  }
-  return nullptr;
+  const auto i = static_cast<std::size_t>(static_cast<std::uint32_t>(id));
+  if (i >= index_by_id_.size() || index_by_id_[i] < 0) return nullptr;
+  return &records_[static_cast<std::size_t>(index_by_id_[i])];
 }
 
 void ArrivalLog::serialize(util::BinWriter& out) const {
-  HP_REQUIRE(!keep_ || config_.mode == ArchiveMode::kMemory,
-             "checkpointing needs the in-memory arrival archive (or "
-             "archive_arrivals off); spill and sample archives hold state "
-             "outside the checkpoint");
   out.u8(keep_ ? 1 : 0);
   out.u64(count_);
   if (!keep_) return;
@@ -387,9 +265,6 @@ void ArrivalLog::serialize(util::BinWriter& out) const {
 
 void ArrivalLog::deserialize(util::BinReader& in) {
   HP_REQUIRE(count_ == 0, "ArrivalLog::deserialize needs a fresh log");
-  HP_REQUIRE(!keep_ || config_.mode == ArchiveMode::kMemory,
-             "checkpoint restore needs the in-memory arrival archive (or "
-             "archive_arrivals off)");
   const bool kept = in.u8() != 0;
   HP_REQUIRE(kept == keep_,
              "checkpoint was written with archive_arrivals = " +
@@ -411,7 +286,6 @@ void ArrivalLog::deserialize(util::BinReader& in) {
 
 std::size_t ArrivalLog::memory_bytes() const {
   return records_.capacity() * sizeof(Packet) +
-         spill_buf_.capacity() * sizeof(Packet) +
          index_by_id_.capacity() * sizeof(std::int64_t);
 }
 

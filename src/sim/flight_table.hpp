@@ -19,19 +19,16 @@
 // Scale (docs/SCALE.md): every column is at most 32 bits wide. The two
 // bookkeeping columns (injected_at, deflections) are overflow-checked — a
 // packet injected at step 2^32 or deflected 2^32 times fails loudly rather
-// than truncating — and the ArrivalLog can spill records to disk or keep a
-// fixed-size reservoir sample instead of an unbounded in-memory vector.
+// than truncating.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sim/packet.hpp"
 #include "topology/types.hpp"
 #include "util/binio.hpp"
-#include "util/rng.hpp"
 
 namespace hp::sim {
 
@@ -59,9 +56,9 @@ class FlightTable {
   std::uint64_t deflections(Slot s) const { return deflections_[idx(s)]; }
   int initial_distance(Slot s) const { return initial_distance_[idx(s)]; }
 
-  /// Raw column bases for batch passes over slots [0, size()) — the
-  /// engine's good-direction evaluation streams these directly. Invalidated
-  /// by insert()/remove() like any slot.
+  /// Raw column bases for batch passes over slots [0, size()), for
+  /// callers outside the engine that scan every in-flight packet.
+  /// Invalidated by insert()/remove() like any slot.
   const net::NodeId* pos_data() const { return pos_.data(); }
   const net::NodeId* dst_data() const { return dst_.data(); }
 
@@ -147,91 +144,39 @@ class FlightTable {
   std::size_t head_ = 0;
 };
 
-/// How the ArrivalLog stores full records when record-keeping is on.
-enum class ArchiveMode : std::uint8_t {
-  kMemory = 0,  ///< unbounded in-memory vector + O(1) id index (default)
-  kSpill = 1,   ///< bounded buffer, flushed to a binary spill file
-  kSample = 2,  ///< fixed-capacity deterministic reservoir sample
-};
-
-struct ArchiveConfig {
-  ArchiveMode mode = ArchiveMode::kMemory;
-  /// Spill file path; required (non-empty) for ArchiveMode::kSpill. The
-  /// file is truncated when the log is configured.
-  std::string spill_path;
-  /// Records buffered in memory between spill flushes.
-  std::size_t spill_buffer_records = 4096;
-  /// Reservoir capacity for ArchiveMode::kSample (must be > 0).
-  std::size_t sample_capacity = 4096;
-  /// Seed of the reservoir's replacement stream. Sampling is a pure
-  /// function of (seed, append sequence), so it is thread-count invariant.
-  std::uint64_t sample_seed = 1;
-};
-
-/// Append-only archive of delivered packets. When record-keeping is off
-/// (steady-state runs that would otherwise accumulate unbounded memory) it
-/// degrades to a counter; spill / sample modes bound the in-memory record
-/// set for scale runs while keeping counts exact.
+/// Append-only archive of delivered packets: every record in memory with
+/// an O(1) id index, or — when record-keeping is off (steady-state runs
+/// that would otherwise accumulate unbounded memory) — only a count.
 class ArrivalLog {
  public:
   void set_keep_records(bool keep) { keep_ = keep; }
   bool keeps_records() const { return keep_; }
 
-  /// Selects the storage mode. Must be called before the first append.
-  void configure(const ArchiveConfig& config);
-  ArchiveMode mode() const { return config_.mode; }
-
   void append(const Packet& p);
 
-  /// In-memory records in arrival order. Only meaningful for kMemory
-  /// (kSpill/kSample hold a subset in memory — use drain()/dropped()).
+  /// Archived records in arrival order (empty when not keeping records).
   std::span<const Packet> records() const { return records_; }
 
-  /// Every retained record, in arrival order: the whole archive for
-  /// kMemory, spilled + buffered records for kSpill, and the current
-  /// reservoir (in id order) for kSample. O(archived); flushes the spill
-  /// buffer first so the file stays the single source of truth.
-  std::vector<Packet> drain() const;
-
-  /// Archived record of packet `id`, or nullptr if unknown / not kept /
-  /// sampled out. kSpill scans the spill file (O(archived)); the returned
-  /// pointer is invalidated by the next find() in that mode.
+  /// Archived record of packet `id`, or nullptr if unknown / not kept.
   const Packet* find(PacketId id) const;
 
   std::uint64_t count() const { return count_; }
 
-  /// Exact number of appended records not retained (dropped by keep=false,
-  /// or displaced / never admitted by the kSample reservoir). Always 0 for
-  /// kMemory and kSpill with keeping on.
-  std::uint64_t dropped() const { return count_ - retained_; }
-
-  /// Heap bytes currently reserved by the in-memory side of the log.
+  /// Heap bytes currently reserved by the log.
   std::size_t memory_bytes() const;
 
-  /// Checkpoint I/O (docs/SCALE.md). Only a count-only log or the
-  /// in-memory mode serializes; kSpill / kSample are rejected with
-  /// hp::CheckError (their retained set lives outside the checkpoint).
+  /// Checkpoint I/O (docs/SCALE.md).
   void serialize(util::BinWriter& out) const;
   void deserialize(util::BinReader& in);
 
  private:
-  void flush_spill() const;
-
   bool keep_ = true;
-  ArchiveConfig config_;
   std::uint64_t count_ = 0;
-  std::uint64_t retained_ = 0;
-  std::vector<Packet> records_;            // kMemory archive / kSample reservoir
-  mutable std::vector<Packet> spill_buf_;  // kSpill: records not yet on disk
-  std::vector<std::int64_t> index_by_id_;  // kMemory: id -> index into records_
-  Rng sample_rng_;                         // kSample replacement stream
-  /// kSpill find() scratch: find() stays const (the engine queries through
-  /// const references) but must surface a record read back from disk.
-  mutable Packet find_scratch_;
+  std::vector<Packet> records_;
+  std::vector<std::int64_t> index_by_id_;  // id -> index into records_
 };
 
-/// Fixed-layout binary Packet record (50 bytes), shared by the ArrivalLog
-/// spill file and the checkpoint format.
+/// Fixed-layout binary Packet record (50 bytes) of the checkpoint format.
 void write_packet_record(util::BinWriter& out, const Packet& p);
 Packet read_packet_record(util::BinReader& in);
 

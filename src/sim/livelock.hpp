@@ -52,8 +52,6 @@ class LivelockDetector {
 
   static constexpr std::uint64_t kNoRepeat = ~std::uint64_t{0};
 
-  std::size_t states_seen() const { return seen_.size(); }
-
   /// Writes the seen-state map to a checkpoint, sorted by digest key so
   /// the byte stream is independent of bucket order.
   void serialize(util::BinWriter& w) const;

@@ -43,16 +43,6 @@ struct Packet {
   int initial_distance = 0;
 
   bool arrived() const { return arrived_at != kNotArrived; }
-
-  /// True iff the packet was a *restricted* packet of Type A at the
-  /// beginning of the current step (§4.1): it was restricted (exactly one
-  /// good direction) in the previous step and advanced in it. The caller
-  /// supplies the current number of good directions; a Type A packet is
-  /// still restricted now (an advancing restricted packet in the mesh
-  /// stays aligned with its destination until arrival).
-  bool is_type_a(int num_good_now) const {
-    return num_good_now == 1 && prev_num_good == 1 && prev_advanced;
-  }
 };
 
 }  // namespace hp::sim

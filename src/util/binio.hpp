@@ -1,5 +1,5 @@
-// Little-endian binary stream I/O for versioned on-disk artifacts
-// (checkpoints, ArrivalLog spill files).
+// Little-endian binary stream I/O for the versioned checkpoint format
+// (sim/checkpoint.hpp).
 //
 // Every multi-byte value is written least-significant byte first,
 // independent of host endianness, so an artifact written on one machine
@@ -27,14 +27,6 @@ constexpr std::uint64_t fnv1a_byte(std::uint64_t hash, std::uint8_t byte) {
   return (hash ^ byte) * kFnvPrime;
 }
 
-/// FNV-1a over a 64-bit value, one byte at a time (LE order).
-constexpr std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash = fnv1a_byte(hash, static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-  return hash;
-}
-
 /// Little-endian writer with a running FNV-1a digest of the payload.
 class BinWriter {
  public:
@@ -52,7 +44,6 @@ class BinWriter {
 
   void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -114,7 +105,6 @@ class BinReader {
 
   std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   std::string str(std::size_t max_len = 4096) {
     const std::uint32_t len = u32();

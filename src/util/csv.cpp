@@ -37,7 +37,6 @@ CsvWriter::Row& CsvWriter::Row::add(std::uint64_t value) {
 
 CsvWriter::Row::~Row() noexcept(false) {
   writer_.write_row(fields_);
-  ++writer_.rows_;
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {

@@ -35,7 +35,6 @@ class CsvWriter {
   };
 
   Row row() { return Row(*this); }
-  std::size_t rows_written() const { return rows_; }
 
  private:
   friend class Row;
@@ -44,7 +43,6 @@ class CsvWriter {
 
   std::ostream& out_;
   std::size_t arity_;
-  std::size_t rows_ = 0;
   bool header_written_ = false;
 };
 

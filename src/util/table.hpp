@@ -40,7 +40,6 @@ class TablePrinter {
   /// Renders the header and all rows, space-padded, two spaces between
   /// columns, to `out`.
   void print(std::ostream& out) const;
-  std::size_t num_rows() const { return rows_.size(); }
 
  private:
   friend class Row;

@@ -1,7 +1,6 @@
-// FlightTable columns and the ArrivalLog storage modes (docs/SCALE.md):
-// the engine's footprint, overflow boundaries of the 32-bit bookkeeping
-// columns and the 32-bit id space, and spill/sample archives against the
-// in-memory baseline.
+// FlightTable columns and the ArrivalLog (docs/SCALE.md): the engine's
+// footprint, overflow boundaries of the 32-bit bookkeeping columns and the
+// 32-bit id space, and the count-only archive.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -159,7 +158,7 @@ TEST(FlightTableSerialize, TruncatedStreamFailsClearly) {
   EXPECT_THROW(restored.deserialize(r), CheckError);
 }
 
-// --- ArrivalLog modes -------------------------------------------------------
+// --- ArrivalLog --------------------------------------------------------------
 
 std::vector<Packet> arrivals(int n) {
   std::vector<Packet> out;
@@ -172,116 +171,20 @@ std::vector<Packet> arrivals(int n) {
   return out;
 }
 
-TEST(ArrivalLogSpill, SpillAndMemoryAgreeOnDrainAndFind) {
-  const auto packets = arrivals(100);
-
-  sim::ArrivalLog memory;
-  sim::ArrivalLog spill;
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSpill;
-  config.spill_path = testing::TempDir() + "hp_spill_test.bin";
-  config.spill_buffer_records = 7;  // odd, so flushes straddle drains
-  spill.configure(config);
-
-  for (const Packet& p : packets) {
-    memory.append(p);
-    spill.append(p);
-  }
-  EXPECT_EQ(spill.count(), memory.count());
-  EXPECT_EQ(spill.dropped(), 0u);
-
-  const auto a = memory.drain();
-  const auto b = spill.drain();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].arrived_at, b[i].arrived_at);
-    EXPECT_EQ(a[i].deflections, b[i].deflections);
-  }
-
-  for (const PacketId id : {PacketId{0}, PacketId{42}, PacketId{99}}) {
-    const Packet* ma = memory.find(id);
-    const Packet* mb = spill.find(id);
-    ASSERT_NE(ma, nullptr);
-    ASSERT_NE(mb, nullptr);
-    EXPECT_EQ(ma->arrived_at, mb->arrived_at);
-  }
-  EXPECT_EQ(spill.find(1000), nullptr);
-}
-
-TEST(ArrivalLogSpill, EngineRunWithSpillMatchesMemoryArchive) {
-  net::Mesh mesh(2, 8);
-  Rng rng_a(5);
-  Rng rng_b(5);
-  auto pa = workload::random_permutation(mesh, rng_a);
-  auto pb = workload::random_permutation(mesh, rng_b);
-  routing::RestrictedPriorityPolicy pol_a;
-  routing::RestrictedPriorityPolicy pol_b;
-
-  sim::EngineConfig mem_config;
-  sim::EngineConfig spill_config;
-  spill_config.archive.mode = sim::ArchiveMode::kSpill;
-  spill_config.archive.spill_path =
-      testing::TempDir() + "hp_spill_engine_test.bin";
-  spill_config.archive.spill_buffer_records = 13;
-
-  sim::Engine with_memory(mesh, pa, pol_a, mem_config);
-  sim::Engine with_spill(mesh, pb, pol_b, spill_config);
-  const auto ra = with_memory.run();
-  const auto rb = with_spill.run();
-  EXPECT_EQ(ra.steps, rb.steps);
-  EXPECT_TRUE(rb.packets.empty()) << "spill mode must not snapshot";
-
-  const auto archived_a = with_memory.arrival_log().drain();
-  const auto archived_b = with_spill.arrival_log().drain();
-  ASSERT_EQ(archived_a.size(), archived_b.size());
-  for (std::size_t i = 0; i < archived_a.size(); ++i) {
-    EXPECT_EQ(archived_a[i].id, archived_b[i].id);
-    EXPECT_EQ(archived_a[i].arrived_at, archived_b[i].arrived_at);
-  }
-}
-
-TEST(ArrivalLogSample, ReservoirIsExactAboutWhatItDropped) {
-  const auto packets = arrivals(100);
+TEST(ArrivalLog, KeptRecordsAreFoundById) {
   sim::ArrivalLog log;
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSample;
-  config.sample_capacity = 16;
-  config.sample_seed = 9;
-  log.configure(config);
-  for (const Packet& p : packets) log.append(p);
-
+  const auto packets = arrivals(100);
+  for (auto it = packets.rbegin(); it != packets.rend(); ++it) log.append(*it);
   EXPECT_EQ(log.count(), 100u);
-  EXPECT_EQ(log.dropped(), 84u);  // exact: count − retained
-  const auto kept = log.drain();
-  ASSERT_EQ(kept.size(), 16u);
-  for (std::size_t i = 1; i < kept.size(); ++i) {
-    EXPECT_LT(kept[i - 1].id, kept[i].id);  // id order, no duplicates
+  ASSERT_EQ(log.records().size(), 100u);
+  EXPECT_EQ(log.records().front().id, 99);  // arrival order, not id order
+  for (const PacketId id : {PacketId{0}, PacketId{42}, PacketId{99}}) {
+    const Packet* p = log.find(id);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->id, id);
+    EXPECT_EQ(p->arrived_at, static_cast<std::uint64_t>(id) + 3);
   }
-}
-
-TEST(ArrivalLogSample, SamplingIsDeterministicInTheSeed) {
-  const auto packets = arrivals(200);
-  auto run = [&](std::uint64_t seed) {
-    sim::ArrivalLog log;
-    sim::ArchiveConfig config;
-    config.mode = sim::ArchiveMode::kSample;
-    config.sample_capacity = 8;
-    config.sample_seed = seed;
-    log.configure(config);
-    for (const Packet& p : packets) log.append(p);
-    return log.drain();
-  };
-  const auto a = run(4);
-  const auto b = run(4);
-  const auto c = run(5);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
-  bool any_difference = a.size() != c.size();
-  for (std::size_t i = 0; !any_difference && i < a.size(); ++i) {
-    any_difference = a[i].id != c[i].id;
-  }
-  EXPECT_TRUE(any_difference) << "different seeds should sample differently";
+  EXPECT_EQ(log.find(1000), nullptr);
 }
 
 TEST(ArrivalLog, CountOnlyModeDropsEverythingButCountsExactly) {
@@ -289,23 +192,8 @@ TEST(ArrivalLog, CountOnlyModeDropsEverythingButCountsExactly) {
   log.set_keep_records(false);
   for (const Packet& p : arrivals(10)) log.append(p);
   EXPECT_EQ(log.count(), 10u);
-  EXPECT_EQ(log.dropped(), 10u);
-  EXPECT_TRUE(log.drain().empty());
-}
-
-TEST(ArrivalLog, ConfigureAfterAppendIsRejected) {
-  sim::ArrivalLog log;
-  log.append(arrivals(1)[0]);
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSample;
-  EXPECT_THROW(log.configure(config), CheckError);
-}
-
-TEST(ArrivalLog, SpillNeedsAPath) {
-  sim::ArrivalLog log;
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSpill;
-  EXPECT_THROW(log.configure(config), CheckError);
+  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.find(3), nullptr);
 }
 
 }  // namespace
