@@ -37,7 +37,7 @@ void BM_MeshDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_MeshDistance);
 
-void BM_GoodDirs(benchmark::State& state) {
+void BM_GoodMask(benchmark::State& state) {
   net::Mesh mesh(static_cast<int>(state.range(0)), 8);
   Rng rng(2);
   std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
@@ -48,10 +48,10 @@ void BM_GoodDirs(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [a, b] = pairs[i++ & 1023];
-    benchmark::DoNotOptimize(mesh.good_dirs(a, b));
+    benchmark::DoNotOptimize(mesh.good_mask(a, b));
   }
 }
-BENCHMARK(BM_GoodDirs)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_GoodMask)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_EngineStep(benchmark::State& state) {
   // Cost of one synchronous step at saturation (4 packets per node) on an

@@ -30,10 +30,10 @@ void GreedyChecker::on_step(const sim::Engine& /*engine*/,
     // Which directions are used by advancing packets at this node?
     std::uint32_t advancing_mask = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      if (as[i].advances) advancing_mask |= std::uint32_t{1} << as[i].out;
+      if (as[i].advances()) advancing_mask |= std::uint32_t{1} << as[i].out;
     }
     for (std::size_t i = begin; i < end; ++i) {
-      if (as[i].advances) continue;
+      if (as[i].advances()) continue;
       ++deflections_;
       if ((as[i].good_mask & ~advancing_mask) != 0) {
         std::ostringstream os;
@@ -52,14 +52,14 @@ void RestrictedPreferenceChecker::on_step(const sim::Engine& /*engine*/,
   const auto& as = record.assignments;
   for_each_node_group(as, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      if (as[i].advances || as[i].num_good != 1) continue;
+      if (as[i].advances() || as[i].num_good() != 1) continue;
       ++restricted_deflections_;
       // Find who is using this restricted packet's single good arc.
       bool ok = false;
       for (std::size_t j = begin; j < end; ++j) {
-        if (j == i || !as[j].advances) continue;
+        if (j == i || !as[j].advances()) continue;
         if ((as[i].good_mask >> as[j].out) & 1u) {
-          ok = (as[j].num_good == 1);
+          ok = (as[j].num_good() == 1);
           break;
         }
       }
@@ -79,12 +79,11 @@ void RestrictedCensus::on_step(const sim::Engine& /*engine*/,
   StepCounts counts;
   counts.step = record.step;
   for (const sim::Assignment& a : record.assignments) {
-    if (static_cast<std::size_t>(a.num_good) >= good_hist_.size()) {
-      good_hist_.resize(static_cast<std::size_t>(a.num_good) + 1, 0);
-    }
-    ++good_hist_[static_cast<std::size_t>(a.num_good)];
-    if (a.num_good == 1) {
-      if (a.was_type_a) {
+    const auto num_good = static_cast<std::size_t>(a.num_good());
+    if (num_good >= good_hist_.size()) good_hist_.resize(num_good + 1, 0);
+    ++good_hist_[num_good];
+    if (num_good == 1) {
+      if (a.was_type_a()) {
         ++counts.type_a;
       } else {
         ++counts.type_b;
@@ -92,7 +91,7 @@ void RestrictedCensus::on_step(const sim::Engine& /*engine*/,
     } else {
       ++counts.unrestricted;
     }
-    if (a.advances) {
+    if (a.advances()) {
       ++counts.advancing;
     } else {
       ++counts.deflected;

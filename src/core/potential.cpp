@@ -16,7 +16,7 @@ namespace {
 /// advanced. Such a packet is still restricted at its new node unless it
 /// arrived — advancing along the single unaligned axis preserves alignment.
 bool type_a_after(const sim::Assignment& a) {
-  return a.advances && a.num_good == 1;
+  return a.advances() && a.num_good() == 1;
 }
 
 }  // namespace
@@ -85,7 +85,7 @@ void PotentialTracker::on_step(const sim::Engine& engine,
         std::int64_t victim_c = 0;
         for (std::size_t j = group_begin; j < group_end; ++j) {
           const sim::Assignment& q = as[j];
-          if (j == i || q.advances || !q.was_type_a) continue;
+          if (j == i || q.advances() || !q.was_type_a()) continue;
           if ((q.good_mask >> a.out) & 1u) {
             ++victims;
             victim_c = c_[static_cast<std::size_t>(q.pkt)];
@@ -102,7 +102,7 @@ void PotentialTracker::on_step(const sim::Engine& engine,
                << victims << " Type A packets (§4.1 property 1 violated)";
             structure_violations_.push_back(os.str());
           }
-          if (a.was_type_a) {
+          if (a.was_type_a()) {
             std::ostringstream os;
             os << "step " << record.step << " node " << node << ": packet "
                << a.pkt

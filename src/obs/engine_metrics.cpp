@@ -52,7 +52,7 @@ void EngineMetrics::on_step(const sim::Engine& engine,
     const net::NodeId node = record.assignments[i].node;
     std::size_t run = 0;
     while (i < m && record.assignments[i].node == node) {
-      if (record.assignments[i].advances) {
+      if (record.assignments[i].advances()) {
         advances_.add(1);
       } else {
         deflections_.add(1);

@@ -1,5 +1,7 @@
 #include "routing/matching.hpp"
 
+#include <bit>
+
 #include "util/check.hpp"
 
 namespace hp::routing {
@@ -7,6 +9,11 @@ namespace hp::routing {
 namespace {
 
 constexpr int kUnassigned = -1;
+
+/// Lowest direction in a nonempty direction mask.
+net::Dir lowest(std::uint32_t mask) {
+  return static_cast<net::Dir>(std::countr_zero(mask));
+}
 
 /// Assigns every packet in `order` without an out direction a free arc
 /// according to `rule`. `used_mask` has a bit set per taken direction.
@@ -18,34 +25,33 @@ void deflect_remaining(const sim::NodeContext& ctx,
     if (out[idx] != net::kInvalidDir) continue;
     const sim::PacketView& p = packets[idx];
 
-    // Collect the free arcs at this node.
-    net::DirList free;
-    for (net::Dir d : ctx.avail_dirs) {
-      if (((used_mask >> d) & 1u) == 0) free.push_back(d);
-    }
-    HP_CHECK(!free.empty(), "no free arc for a resident packet — the node "
-                            "holds more packets than arcs");
+    const std::uint32_t free = ctx.arcs & ~used_mask;
+    HP_CHECK(free != 0, "no free arc for a resident packet — the node "
+                        "holds more packets than arcs");
 
-    net::Dir chosen = net::kInvalidDir;
+    net::Dir chosen = lowest(free);
     switch (rule) {
       case DeflectRule::kFirstFree:
-        chosen = free.front();
         break;
-      case DeflectRule::kRandom:
-        chosen = free[ctx.rng.uniform(free.size())];
+      case DeflectRule::kRandom: {
+        // The k-th free arc in ascending order, k uniform.
+        const std::uint64_t k =
+            ctx.rng.uniform(static_cast<std::uint64_t>(std::popcount(free)));
+        std::uint32_t rest = free;
+        for (std::uint64_t skip = 0; skip < k; ++skip) rest &= rest - 1;
+        chosen = lowest(rest);
         break;
+      }
       case DeflectRule::kReverseEntry:
         if (p.entry_dir != net::kInvalidDir) {
           const net::Dir back = ctx.net.reverse_dir(p.entry_dir);
-          if (free.contains(back)) chosen = back;
+          if ((free >> back) & 1u) chosen = back;
         }
-        if (chosen == net::kInvalidDir) chosen = free.front();
         break;
       case DeflectRule::kStraight:
-        if (p.entry_dir != net::kInvalidDir && free.contains(p.entry_dir)) {
+        if (p.entry_dir != net::kInvalidDir && ((free >> p.entry_dir) & 1u)) {
           chosen = p.entry_dir;
         }
-        if (chosen == net::kInvalidDir) chosen = free.front();
         break;
     }
     out[idx] = chosen;
@@ -65,13 +71,10 @@ void assign_sequential(const sim::NodeContext& ctx,
 
   std::uint32_t used_mask = 0;
   for (std::size_t idx : order) {
-    for (net::Dir g : packets[idx].good) {
-      if (((used_mask >> g) & 1u) == 0) {
-        out[idx] = g;
-        used_mask |= std::uint32_t{1} << g;
-        break;
-      }
-    }
+    const std::uint32_t open = packets[idx].good_mask & ~used_mask;
+    if (open == 0) continue;
+    out[idx] = lowest(open);
+    used_mask |= std::uint32_t{1} << out[idx];
   }
   deflect_remaining(ctx, packets, order, rule, used_mask, out);
 }
@@ -84,7 +87,9 @@ namespace {
 /// per-attempt direction bitmask.
 bool try_augment(std::span<const sim::PacketView> packets, std::size_t idx,
                  std::span<int> owner, std::uint32_t& visited) {
-  for (net::Dir g : packets[idx].good) {
+  for (std::uint32_t rest = packets[idx].good_mask; rest != 0;
+       rest &= rest - 1) {
+    const net::Dir g = lowest(rest);
     const std::uint32_t bit = std::uint32_t{1} << g;
     if (visited & bit) continue;
     visited |= bit;

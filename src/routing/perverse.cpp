@@ -1,5 +1,7 @@
 #include "routing/perverse.hpp"
 
+#include <bit>
+
 #include "sim/engine.hpp"
 #include "util/check.hpp"
 
@@ -36,7 +38,7 @@ void BounceBackPolicy::route(const sim::NodeContext& ctx,
     out[i] = net::kInvalidDir;
     if (packets[i].entry_dir == net::kInvalidDir) continue;
     const net::Dir back = ctx.net.reverse_dir(packets[i].entry_dir);
-    if (ctx.net.arc_exists(ctx.node, back) && (((used >> back) & 1u) == 0)) {
+    if (((ctx.arcs & ~used) >> back) & 1u) {
       out[i] = back;
       used |= std::uint32_t{1} << back;
     }
@@ -44,14 +46,10 @@ void BounceBackPolicy::route(const sim::NodeContext& ctx,
   // Remaining packets (e.g. just injected): first free arc.
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (out[i] != net::kInvalidDir) continue;
-    for (net::Dir d : ctx.avail_dirs) {
-      if (((used >> d) & 1u) == 0) {
-        out[i] = d;
-        used |= std::uint32_t{1} << d;
-        break;
-      }
-    }
-    HP_CHECK(out[i] != net::kInvalidDir, "no free arc for resident packet");
+    const std::uint32_t free = ctx.arcs & ~used;
+    HP_CHECK(free != 0, "no free arc for resident packet");
+    out[i] = static_cast<net::Dir>(std::countr_zero(free));
+    used |= std::uint32_t{1} << out[i];
   }
 }
 

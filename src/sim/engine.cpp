@@ -456,14 +456,14 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
 
 void Engine::route_node(net::NodeId node, const Bucket& residents,
                         std::vector<Assignment>& out) {
-  // The node's out-arcs, derived once: capacity, the policy's available
-  // directions, and the arc-exists check on every assignment below.
+  // The node's out-arcs, derived once: capacity, the policy's view of the
+  // node, and the arc-exists check on every assignment below.
   const std::uint32_t arcs = net_.arc_mask(node);
   HP_CHECK(static_cast<int>(residents.size()) <= std::popcount(arcs),
            "more packets at a node than its degree — model violation");
 
   Rng node_rng(node_stream_seed(config_.seed, now_, node));
-  NodeContext ctx{net_, node, now_, net::dirlist_from_mask(arcs), node_rng};
+  NodeContext ctx{net_, node, now_, arcs, node_rng};
 
   constexpr std::size_t kCap = 2 * net::kMaxDim;
   std::array<net::NodeId, kCap> at{};
@@ -490,7 +490,6 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
     v.good_mask = masks[i];
     HP_CHECK(v.good_mask != 0,
              "packet with no good direction was not absorbed — engine bug");
-    v.good = net::dirlist_from_mask(v.good_mask);
   }
 
   InlineVector<net::Dir, 2 * net::kMaxDim> dirs;
@@ -515,17 +514,9 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
              "policy '" + policy_.name() + "' put two packets on one arc");
     used_mask |= bit;
 
-    Assignment a;
-    a.pkt = residents[i];
-    a.node = node;
-    a.out = d;
-    a.advances = (views[i].good_mask & bit) != 0;
-    a.num_good = views[i].num_good();
-    a.good_mask = views[i].good_mask;
-    a.was_type_a = views[i].type_a();
-    a.prev_advanced = views[i].prev_advanced;
-    a.prev_num_good = views[i].prev_num_good;
-    out.push_back(a);
+    out.push_back(Assignment{
+        residents[i], node, views[i].good_mask, d, views[i].prev_advanced,
+        static_cast<std::int8_t>(views[i].prev_num_good)});
   }
 }
 
@@ -569,14 +560,15 @@ void Engine::move_range(std::size_t task, std::size_t begin,
   shard.advances = 0;
   shard.deflections = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    const Assignment& a = assignments_[i];
+    const Assignment a = assignments_[i];
     const FlightTable::Slot s = flight_.slot_of(a.pkt);
     HP_CHECK(s != FlightTable::kNoSlot,
              "assignment for a packet that is not in flight");
     const net::NodeId to = net_.neighbor(a.node, a.out);
     HP_CHECK(to != net::kInvalidNode, "movement off the network");
-    flight_.move(s, to, a.out, a.advances, a.num_good);
-    if (a.advances) {
+    const bool advances = a.advances();
+    flight_.move(s, to, a.out, advances, a.num_good());
+    if (advances) {
       ++shard.advances;
     } else {
       ++shard.deflections;

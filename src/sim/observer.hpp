@@ -14,6 +14,7 @@
 // what they keep.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -26,18 +27,27 @@ class Engine;
 
 /// One packet's routing decision in one step, with the pre-move facts the
 /// analysis needs. Assignments for the same node are contiguous in the
-/// step record.
+/// step record. Everything else an observer asks of a decision is derived
+/// from these fields by the accessors below.
 struct Assignment {
   PacketId pkt = 0;
   net::NodeId node = net::kInvalidNode;  ///< node the packet was routed from
-  net::Dir out = net::kInvalidDir;       ///< chosen outgoing direction
-  bool advances = false;                 ///< arc was good for the packet
-  int num_good = 0;          ///< good directions at `node` (pre-move)
   /// Bit i set iff direction i was good for this packet at `node`.
   std::uint32_t good_mask = 0;
-  bool was_type_a = false;   ///< restricted Type A at start of step (§4.1)
+  net::Dir out = net::kInvalidDir;       ///< chosen outgoing direction
+  /// History bits of the step before (§4.1), as the flight table keeps them.
   bool prev_advanced = false;
-  int prev_num_good = -1;
+  std::int8_t prev_num_good = -1;
+
+  /// The chosen arc was good for the packet (it moves closer). `out` is a
+  /// valid direction in every assignment the engine streams.
+  bool advances() const { return ((good_mask >> out) & 1u) != 0; }
+  /// Good directions at `node` (pre-move).
+  int num_good() const { return std::popcount(good_mask); }
+  /// Restricted Type A at the start of the step (§4.1).
+  bool was_type_a() const {
+    return is_type_a(good_mask, prev_num_good, prev_advanced);
+  }
 };
 
 /// Everything that happened in one engine step, streamed by reference.

@@ -1,6 +1,7 @@
 // Packet state for the synchronous hot-potato model (Section 2).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "topology/types.hpp"
@@ -10,6 +11,15 @@ namespace hp::sim {
 using PacketId = std::int32_t;
 
 inline constexpr std::uint64_t kNotArrived = ~std::uint64_t{0};
+
+/// §4.1 Type A: a restricted packet (exactly one good direction, bit set
+/// in `good_mask`) that was also restricted in the previous step and
+/// advanced in it. Every other restricted packet is Type B.
+constexpr bool is_type_a(std::uint32_t good_mask, int prev_num_good,
+                         bool prev_advanced) {
+  return std::has_single_bit(good_mask) && prev_num_good == 1 &&
+         prev_advanced;
+}
 
 /// One packet in flight (or already delivered). Besides position, the
 /// packet carries the two bits of history the paper's Type A / Type B

@@ -11,7 +11,7 @@ void RunRecorder::on_step(const sim::Engine& engine,
   row.in_flight = static_cast<std::int64_t>(record.assignments.size());
   row.arrived = static_cast<std::int64_t>(record.arrivals.size());
   for (const sim::Assignment& a : record.assignments) {
-    if (a.advances) {
+    if (a.advances()) {
       ++row.advanced;
     } else {
       ++row.deflected;

@@ -8,7 +8,8 @@
 namespace hp::net {
 
 Hypercube::Hypercube(int dim) : dim_(dim) {
-  // 2 * kMaxDim bounds the DirList capacity shared with the mesh code.
+  // 2 * kMaxDim bounds the per-node packet capacity shared with the mesh
+  // code (the engine's per-node route arrays).
   HP_REQUIRE(dim >= 1 && dim <= 2 * kMaxDim, "hypercube dimension out of range");
 }
 

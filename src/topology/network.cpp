@@ -1,7 +1,5 @@
 #include "topology/network.hpp"
 
-#include "util/check.hpp"
-
 namespace hp::net {
 
 std::uint32_t Network::arc_mask(NodeId node) const {
@@ -22,11 +20,6 @@ std::uint32_t Network::good_mask(NodeId at, NodeId dst) const {
     }
   }
   return mask;
-}
-
-bool Network::is_good_dir(NodeId at, NodeId dst, Dir dir) const {
-  HP_REQUIRE(dir >= 0 && dir < num_dirs(), "direction out of range");
-  return ((good_mask(at, dst) >> dir) & 1u) != 0;
 }
 
 std::size_t Network::num_arcs() const {

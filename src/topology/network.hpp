@@ -6,6 +6,7 @@
 // run unchanged on meshes, tori, and hypercubes.
 #pragma once
 
+#include <bit>
 #include <string>
 
 #include "topology/types.hpp"
@@ -61,20 +62,6 @@ class Network {
   /// topologies override it with closed forms. The engine calls this (via
   /// RoutingPolicy::batch_good_dirs) once per resident of every routed node.
   virtual std::uint32_t good_mask(NodeId at, NodeId dst) const;
-
-  /// Good directions in ascending direction order.
-  DirList good_dirs(NodeId at, NodeId dst) const {
-    return dirlist_from_mask(good_mask(at, dst));
-  }
-
-  /// Number of good directions.
-  int num_good_dirs(NodeId at, NodeId dst) const {
-    return std::popcount(good_mask(at, dst));
-  }
-
-  /// True if direction `dir` is good for a packet at `at` headed to `dst`.
-  /// `dir` must lie in [0, num_dirs()).
-  bool is_good_dir(NodeId at, NodeId dst, Dir dir) const;
 
   /// Total number of directed arcs in the network.
   std::size_t num_arcs() const;

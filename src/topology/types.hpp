@@ -1,7 +1,6 @@
 // Basic identifier types shared across the topology and simulation layers.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
 #include "util/inline_vector.hpp"
@@ -26,20 +25,5 @@ inline constexpr int kMaxDim = 8;
 /// A coordinate vector in the mesh; component i is the position along
 /// axis i, in [0, side).
 using Coord = InlineVector<std::int32_t, kMaxDim>;
-
-/// Directions incident to one node; sized for the largest degree we
-/// support (2 * kMaxDim mesh directions or up to 16 hypercube bits).
-using DirList = InlineVector<Dir, 2 * kMaxDim>;
-
-/// Expands a direction bitmask (bit d ⇔ direction d) into an ascending
-/// DirList — the same order every good_dirs() implementation produces.
-inline DirList dirlist_from_mask(std::uint32_t mask) {
-  DirList out;
-  while (mask != 0) {
-    out.push_back(static_cast<Dir>(std::countr_zero(mask)));
-    mask &= mask - 1;
-  }
-  return out;
-}
 
 }  // namespace hp::net

@@ -29,7 +29,7 @@ class NonGreedyPolicy : public sim::RoutingPolicy {
     std::uint32_t used = 0;
     for (std::size_t i = 0; i < packets.size(); ++i) {
       out[i] = net::kInvalidDir;
-      const net::Dir first = packets[i].good.front();
+      const net::Dir first = test::lowest_dir(packets[i].good_mask);
       if (((used >> first) & 1u) == 0) {
         out[i] = first;
         used |= std::uint32_t{1} << first;
@@ -38,22 +38,12 @@ class NonGreedyPolicy : public sim::RoutingPolicy {
     for (std::size_t i = 0; i < packets.size(); ++i) {
       if (out[i] != net::kInvalidDir) continue;
       // Deliberately pick a BAD arc even if another good one is free.
-      for (net::Dir d : ctx.avail_dirs) {
-        if (((used >> d) & 1u) == 0 && !packets[i].good.contains(d)) {
-          out[i] = d;
-          used |= std::uint32_t{1} << d;
-          break;
-        }
-      }
-      if (out[i] == net::kInvalidDir) {
-        for (net::Dir d : ctx.avail_dirs) {
-          if (((used >> d) & 1u) == 0) {
-            out[i] = d;
-            used |= std::uint32_t{1} << d;
-            break;
-          }
-        }
-      }
+      const std::uint32_t free = ctx.arcs & ~used;
+      const std::uint32_t bad = free & ~packets[i].good_mask;
+      const std::uint32_t pick = bad != 0 ? bad : free;
+      if (pick == 0) continue;
+      out[i] = test::lowest_dir(pick);
+      used |= std::uint32_t{1} << out[i];
     }
   }
 };

@@ -12,6 +12,7 @@
 //   wraparound against a deque reference model, histogram edge bins.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 #include <sstream>
 #include <string>
@@ -40,11 +41,15 @@ class ArbitraryPolicy : public sim::RoutingPolicy {
   void route(const sim::NodeContext& ctx,
              std::span<const sim::PacketView> packets,
              std::span<net::Dir> out) override {
-    net::DirList free = ctx.avail_dirs;
+    std::uint32_t free = ctx.arcs;
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      const std::size_t pick = ctx.rng.uniform(free.size());
-      out[i] = free[pick];
-      free.erase_at(pick);
+      // The pick-th free arc in ascending order.
+      std::uint32_t rest = free;
+      const std::uint64_t pick =
+          ctx.rng.uniform(static_cast<std::uint64_t>(std::popcount(free)));
+      for (std::uint64_t skip = 0; skip < pick; ++skip) rest &= rest - 1;
+      out[i] = test::lowest_dir(rest);
+      free &= ~(std::uint32_t{1} << out[i]);
     }
   }
 };

@@ -11,17 +11,19 @@
 namespace hp::routing {
 namespace {
 
+/// True iff direction d is in the packet's good set.
+bool is_good(const sim::PacketView& v, net::Dir d) {
+  return ((v.good_mask >> d) & 1u) != 0;
+}
+
 /// Builds a NodeContext plus PacketViews at an interior node of a 2-D (or
-/// d-dim) mesh where each packet's good set is given explicitly as a list
-/// of direction labels.
+/// d-dim) mesh where each packet's good set is given explicitly as a set
+/// of direction labels, stored as the engine stores it: a mask.
 struct Fixture {
   explicit Fixture(int d = 2, int side = 8)
       : mesh(d, side), rng(1234), node(center()) {
     ctx = std::make_unique<sim::NodeContext>(
-        sim::NodeContext{mesh, node, 0, {}, rng});
-    for (net::Dir dir = 0; dir < mesh.num_dirs(); ++dir) {
-      if (mesh.arc_exists(node, dir)) ctx->avail_dirs.push_back(dir);
-    }
+        sim::NodeContext{mesh, node, 0, mesh.arc_mask(node), rng});
   }
 
   net::NodeId center() const {
@@ -33,10 +35,10 @@ struct Fixture {
   void add_packet(std::initializer_list<int> good_dirs) {
     sim::PacketView v;
     v.id = static_cast<sim::PacketId>(views.size());
-    // Destination is irrelevant for the matcher itself; the good list is
+    // Destination is irrelevant for the matcher itself; the good mask is
     // what drives it.
     v.dst = 0;
-    for (int g : good_dirs) v.good.push_back(static_cast<net::Dir>(g));
+    for (int g : good_dirs) v.good_mask |= std::uint32_t{1} << g;
     views.push_back(v);
   }
 
@@ -57,7 +59,7 @@ struct Fixture {
                              const std::vector<net::Dir>& out) {
     int count = 0;
     for (std::size_t i = 0; i < views.size(); ++i) {
-      if (views[i].good.contains(out[i])) ++count;
+      if (is_good(views[i], out[i])) ++count;
     }
     return count;
   }
@@ -83,11 +85,12 @@ void expect_greedy(const Fixture& f, const std::vector<net::Dir>& out) {
   // Definition 6: every deflected packet's good arcs are all used by
   // advancing packets.
   for (std::size_t i = 0; i < f.views.size(); ++i) {
-    if (f.views[i].good.contains(out[i])) continue;
-    for (net::Dir g : f.views[i].good) {
+    if (is_good(f.views[i], out[i])) continue;
+    for (net::Dir g = 0; g < f.mesh.num_dirs(); ++g) {
+      if (!is_good(f.views[i], g)) continue;
       bool used_by_advancer = false;
       for (std::size_t j = 0; j < f.views.size(); ++j) {
-        if (out[j] == g && f.views[j].good.contains(g)) {
+        if (out[j] == g && is_good(f.views[j], g)) {
           used_by_advancer = true;
         }
       }
@@ -232,17 +235,12 @@ TEST(Matching, RandomizedPropertySweep) {
     Fixture f(3, 6);
     const int packets = 1 + static_cast<int>(rng.uniform(6));
     for (int i = 0; i < packets; ++i) {
-      std::uint32_t mask = 0;
       const int goods = 1 + static_cast<int>(rng.uniform(5));
       sim::PacketView v;
       v.id = i;
       v.dst = 0;
       for (int g = 0; g < goods; ++g) {
-        const auto dir = static_cast<net::Dir>(rng.uniform(6));
-        if (((mask >> dir) & 1u) == 0) {
-          mask |= std::uint32_t{1} << dir;
-          v.good.push_back(dir);
-        }
+        v.good_mask |= std::uint32_t{1} << rng.uniform(6);
       }
       f.views.push_back(v);
     }

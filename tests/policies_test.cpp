@@ -149,7 +149,7 @@ TEST(DdimPriority, MaximizesAdvancingPackets) {
       if (record.step != 0) return;
       first_step_advancers = 0;
       for (const auto& a : record.assignments) {
-        if (a.advances) ++first_step_advancers;
+        if (a.advances()) ++first_step_advancers;
       }
     }
   } count;

@@ -1,6 +1,8 @@
 // Shared helpers for the hotpotato test suite.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -27,6 +29,11 @@ inline workload::Problem make_problem(
   return p;
 }
 
+/// Lowest direction in a nonempty direction mask.
+inline net::Dir lowest_dir(std::uint32_t mask) {
+  return static_cast<net::Dir>(std::countr_zero(mask));
+}
+
 /// A deliberately simple baseline policy for engine-mechanics tests: each
 /// packet takes its first good arc if free, else the first free arc.
 /// (Equivalent to sequential greedy in arrival order.)
@@ -41,23 +48,17 @@ class FirstGoodPolicy : public sim::RoutingPolicy {
     std::uint32_t used = 0;
     for (std::size_t i = 0; i < packets.size(); ++i) {
       out[i] = net::kInvalidDir;
-      for (net::Dir g : packets[i].good) {
-        if (((used >> g) & 1u) == 0) {
-          out[i] = g;
-          used |= std::uint32_t{1} << g;
-          break;
-        }
-      }
+      const std::uint32_t open = packets[i].good_mask & ~used;
+      if (open == 0) continue;
+      out[i] = lowest_dir(open);
+      used |= std::uint32_t{1} << out[i];
     }
     for (std::size_t i = 0; i < packets.size(); ++i) {
       if (out[i] != net::kInvalidDir) continue;
-      for (net::Dir d : ctx.avail_dirs) {
-        if (((used >> d) & 1u) == 0) {
-          out[i] = d;
-          used |= std::uint32_t{1} << d;
-          break;
-        }
-      }
+      const std::uint32_t free = ctx.arcs & ~used;
+      if (free == 0) continue;
+      out[i] = lowest_dir(free);
+      used |= std::uint32_t{1} << out[i];
     }
   }
 };

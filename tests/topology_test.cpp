@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
+#include <cstdint>
 
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
@@ -121,24 +121,22 @@ TEST(Mesh, GoodDirsMatchDefinition5) {
   for (int x : {0, 2, 1, 5, 0}) at.push_back(x);
   Coord to;
   for (int x : {3, 2, 7, 1, 0}) to.push_back(x);
-  const DirList good = m.good_dirs(m.node_at(at), m.node_at(to));
-  std::set<Dir> expect{Mesh::dir_of(0, +1), Mesh::dir_of(2, +1),
-                       Mesh::dir_of(3, -1)};
+  const auto bit = [](Dir d) { return std::uint32_t{1} << d; };
   // Axis 1 differs too in our version of the example? No: 2 → 2 aligned;
   // axis 4 aligned. Exactly three good directions.
-  std::set<Dir> got(good.begin(), good.end());
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(m.num_good_dirs(m.node_at(at), m.node_at(to)), 3);
+  EXPECT_EQ(m.good_mask(m.node_at(at), m.node_at(to)),
+            bit(Mesh::dir_of(0, +1)) | bit(Mesh::dir_of(2, +1)) |
+                bit(Mesh::dir_of(3, -1)));
 }
 
 TEST(Mesh, GoodDirsEmptyOnlyAtDestination) {
   Mesh m(2, 5);
   for (NodeId v = 0; v < static_cast<NodeId>(m.num_nodes()); ++v) {
     for (NodeId t = 0; t < static_cast<NodeId>(m.num_nodes()); ++t) {
-      const auto good = m.good_dirs(v, t);
-      EXPECT_EQ(good.empty(), v == t);
-      for (Dir g : good) {
-        EXPECT_TRUE(m.is_good_dir(v, t, g));
+      const std::uint32_t good = m.good_mask(v, t);
+      EXPECT_EQ(good == 0, v == t);
+      for (Dir g = 0; g < m.num_dirs(); ++g) {
+        if (((good >> g) & 1u) == 0) continue;
         EXPECT_EQ(m.distance(m.neighbor(v, g), t), m.distance(v, t) - 1);
       }
     }
@@ -251,9 +249,7 @@ TEST(Hypercube, ArcsAreSelfReverse) {
 
 TEST(Hypercube, GoodDirsAreDifferingBits) {
   Hypercube h(4);
-  const auto good = h.good_dirs(0b0000, 0b1010);
-  std::set<Dir> got(good.begin(), good.end());
-  EXPECT_EQ(got, (std::set<Dir>{1, 3}));
+  EXPECT_EQ(h.good_mask(0b0000, 0b1010), 0b1010u);
 }
 
 TEST(Network, NumArcsMatchesHandshake) {
