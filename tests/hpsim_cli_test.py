@@ -176,6 +176,84 @@ def test_probe_conflicts(hpsim, tmp):
           batch_pattern.returncode == 2, f"exit={batch_pattern.returncode}")
 
 
+# Exact stdout of the steady-state paths: --inject (Bernoulli arrivals) and
+# --probe (closed-loop windows, unit and Pareto flows). Virtual-time only,
+# so the text is the same at every --threads value.
+STEADY_STATE_PINS = [
+    (["--inject", "0.05", "--inject-steps", "1000", "--topology", "mesh",
+      "--n", "16", "--seed", "3"],
+     """network         : mesh-2d-16
+policy          : restricted-priority
+offered rate    : 0.05 per node per step
+admit fraction  : 0.998987
+throughput      : 0.0505225 deliveries per node per step
+mean latency    : 10.9603
+p99 latency     : 24
+mean in flight  : 142.154
+deflections/pkt : 0.158017
+"""),
+    (["--inject", "0.1", "--inject-steps", "500", "--topology", "torus",
+      "--n", "8", "--seed", "3"],
+     """network         : torus-2d-8
+policy          : restricted-priority
+offered rate    : 0.1 per node per step
+admit fraction  : 0.999687
+throughput      : 0.0996094 deliveries per node per step
+mean latency    : 4.16218
+p99 latency     : 8
+mean in flight  : 26.5775
+deflections/pkt : 0.0603922
+"""),
+    (["--probe", "--topology", "mesh", "--n", "6", "--workload", "uniform",
+      "--seed", "3"],
+     """network         : mesh-2d-6
+policy          : restricted-priority
+traffic         : uniform (unit flows)
+window    rate  stable  throughput  admit      lo      hi
+     0  0.0500     yes      0.0511  1.000  0.0500     inf
+     1  0.1000     yes      0.1041  1.000  0.1000     inf
+     2  0.2000     yes      0.1988  0.997  0.2000     inf
+     3  0.4000      no      0.3908  0.920  0.2000  0.4000
+     4  0.3000     yes      0.2965  0.979  0.3000  0.4000
+     5  0.3500     yes      0.3417  0.956  0.3500  0.4000
+     6  0.3750     yes      0.3657  0.940  0.3750  0.4000
+     7  0.3875     yes      0.3784  0.928  0.3875  0.4000
+converged       : yes (8 windows)
+saturation rate : 0.3875 packets per node per step
+throughput      : 0.37838
+mean latency    : 5.05199
+"""),
+    (["--probe", "--topology", "mesh", "--n", "6", "--workload", "uniform",
+      "--seed", "3", "--pareto"],
+     """network         : mesh-2d-6
+policy          : restricted-priority
+traffic         : uniform + pareto flows
+window    rate  stable  throughput  admit      lo      hi
+     0  0.0500     yes      0.0581  1.000  0.0500     inf
+     1  0.1000     yes      0.1112  0.999  0.1000     inf
+     2  0.2000     yes      0.2225  0.966  0.2000     inf
+     3  0.4000      no      0.3425  0.881  0.2000  0.4000
+     4  0.3000     yes      0.2727  0.971  0.3000  0.4000
+     5  0.3500     yes      0.3215  0.945  0.3500  0.4000
+     6  0.3750     yes      0.3240  0.929  0.3750  0.4000
+     7  0.3875      no      0.3425  0.900  0.3750  0.3875
+converged       : yes (8 windows)
+saturation rate : 0.375 packets per node per step
+throughput      : 0.324028
+mean latency    : 5.14507
+"""),
+]
+
+
+def test_steady_state_pins(hpsim):
+    for args, expected in STEADY_STATE_PINS:
+        for threads in ("1", "4"):
+            proc = run(hpsim, *args, "--threads", threads)
+            check(f"pinned stdout of {' '.join(args)} --threads {threads}",
+                  proc.returncode == 0 and proc.stdout == expected,
+                  f"exit={proc.returncode}\n{proc.stdout}{proc.stderr}")
+
+
 def summary_tail(stdout):
     """The summary lines a restored run must reproduce exactly."""
     return [
@@ -269,6 +347,7 @@ def main():
         test_sweep_cell_mode(hpsim)
         test_probe_determinism_across_threads(hpsim)
         test_probe_conflicts(hpsim, tmp)
+        test_steady_state_pins(hpsim)
         test_checkpoint_roundtrip(hpsim, tmp)
         test_checkpoint_conflicts(hpsim, tmp)
         test_restore_mismatch_rejected(hpsim, tmp)
