@@ -33,7 +33,6 @@ void throughput_flatness() {
   auto policy = make_policy("restricted");
   sim::EngineConfig config;
   config.seed = 9;
-  config.detect_livelock = false;
   config.archive_arrivals = false;  // unbounded run: keep memory bounded
   sim::Engine engine(mesh, {}, *policy, config);
   sim::BernoulliInjector injector(0.2, 41);
@@ -52,7 +51,7 @@ void throughput_flatness() {
   TablePrinter table({"window", "steps", "delivered_total", "steps/sec",
                       "mean_in_flight", "peak_in_flight"});
   for (int w = 0; w < kWindows; ++w) {
-    occupancy.begin_window();
+    occupancy.begin_window(engine);
     const auto t0 = std::chrono::steady_clock::now();
     engine.run_for(kWindow);
     const auto t1 = std::chrono::steady_clock::now();
@@ -89,7 +88,6 @@ void steady_state_metrics_demo() {
   auto policy = make_policy("restricted");
   sim::EngineConfig config;
   config.seed = 9;
-  config.detect_livelock = false;
   config.archive_arrivals = false;
   sim::Engine engine(mesh, {}, *policy, config);
   sim::BernoulliInjector injector(0.2, 41);
@@ -121,7 +119,7 @@ void load_curve(const net::Mesh& network) {
         .add(report.throughput, 3)
         .add(report.mean_latency, 1)
         .add(report.p99_latency, 1)
-        .add(report.mean_in_flight, 1)
+        .add(report.mean_population, 1)
         .add(report.deflections_per_delivered, 2);
   }
   table.print(std::cout);

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/bounds.hpp"
@@ -34,7 +35,6 @@
 #include "sim/admission.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
-#include "sim/injection.hpp"
 #include "stats/recorder.hpp"
 #include "stats/steady_state.hpp"
 #include "stats/sweep.hpp"
@@ -95,19 +95,19 @@ void usage() {
   --load PATH                       route a saved instance (overrides
                                     --workload/--k)
   --inject RATE                     steady-state mode: per-node Bernoulli
-                                    arrivals instead of a batch workload
+                                    arrivals instead of a batch workload;
+                                    excludes --audit/--save/--load/
+                                    --checkpoint/--restore
   --inject-steps T                  steady-state run length (default 2000,
                                     first 20% is warmup)
   --threads W                       routing-phase worker threads (default 1;
                                     results are identical for every W)
   --metrics PATH                    write the end-of-run metrics snapshot
-                                    (CSV when PATH ends in .csv, else JSON);
-                                    batch mode only
+                                    (CSV when PATH ends in .csv, else JSON)
   --trace PATH                      write a Chrome trace_event JSON of the
-                                    run (chrome://tracing / Perfetto);
-                                    batch mode only
+                                    run (chrome://tracing / Perfetto)
   --profile                         print the wall-clock engine phase
-                                    profile on stderr; batch mode only
+                                    profile on stderr
   --probe                           closed-loop saturation probe: --workload
                                     names a traffic pattern (uniform|hotspot|
                                     transpose|bit-reversal); prints the probe
@@ -384,22 +384,25 @@ int main(int argc, char** argv) {
                    "traffic\n";
       return 2;
     }
-    const bool checkpoint_flags = !opt.checkpoint_path.empty() ||
-                                  !opt.restore_path.empty() ||
-                                  opt.fingerprint;
+    const bool inject = opt.inject_rate >= 0.0;
     if ((opt.probe || opt.sweep_cell) &&
-        (opt.inject_rate >= 0.0 || !opt.metrics_path.empty() ||
-         !opt.trace_path.empty() || opt.profile || opt.csv || opt.audit ||
-         !opt.save_path.empty() || !opt.load_path.empty() ||
-         checkpoint_flags)) {
+        (inject || !opt.metrics_path.empty() || !opt.trace_path.empty() ||
+         opt.profile || opt.csv || opt.audit || !opt.save_path.empty() ||
+         !opt.load_path.empty() || !opt.checkpoint_path.empty() ||
+         !opt.restore_path.empty() || opt.fingerprint)) {
       std::cerr << "error: --probe/--sweep-cell cannot be combined with "
                    "--inject/--metrics/--trace/--profile/--csv/--audit/"
                    "--save/--load/--checkpoint/--restore/--fingerprint\n";
       return 2;
     }
-    if (opt.inject_rate >= 0.0 && checkpoint_flags) {
-      std::cerr << "error: --checkpoint/--restore/--fingerprint are "
-                   "batch-mode flags and cannot be combined with --inject\n";
+    if (inject &&
+        (opt.audit || !opt.save_path.empty() || !opt.load_path.empty() ||
+         !opt.checkpoint_path.empty() || !opt.restore_path.empty())) {
+      // The potential audit covers batch problems only, an injected run
+      // has no problem to save or load, and a checkpoint does not carry
+      // the injector's RNG or flow state.
+      std::cerr << "error: --audit/--save/--load/--checkpoint/--restore "
+                   "cannot be combined with --inject\n";
       return 2;
     }
     if (opt.checkpoint_at > 0 && opt.checkpoint_path.empty()) {
@@ -420,40 +423,14 @@ int main(int argc, char** argv) {
       return run_sweep_mode(opt, *network);
     }
 
-    if (opt.inject_rate >= 0.0) {
-      // Steady-state mode constructs its engine inside
-      // measure_steady_state, so the observability flags have nothing to
-      // attach to; reject the combination instead of silently ignoring it.
-      if (!opt.metrics_path.empty() || !opt.trace_path.empty() ||
-          opt.profile) {
-        std::cerr << "error: --metrics/--trace/--profile are batch-mode "
-                     "flags and cannot be combined with --inject\n";
-        return 2;
-      }
-      // Steady-state mode: continuous Bernoulli arrivals, no batch.
-      auto policy = make_policy(opt, *network);
-      const std::uint64_t warmup = opt.inject_steps / 5;
-      const auto report = hp::stats::measure_steady_state(
-          *network, *policy, opt.inject_rate, warmup,
-          opt.inject_steps - warmup, opt.seed);
-      std::cout << "network         : " << network->name() << "\n"
-                << "policy          : " << policy->name() << "\n"
-                << "offered rate    : " << report.offered_rate
-                << " per node per step\n"
-                << "admit fraction  : " << report.admit_fraction << "\n"
-                << "throughput      : " << report.throughput
-                << " deliveries per node per step\n"
-                << "mean latency    : " << report.mean_latency << "\n"
-                << "p99 latency     : " << report.p99_latency << "\n"
-                << "mean in flight  : " << report.mean_in_flight << "\n"
-                << "deflections/pkt : " << report.deflections_per_delivered
-                << "\n";
-      return 0;
-    }
-
     hp::Rng rng(opt.seed);
+    // An --inject run starts empty: every packet comes from the injector.
     hp::workload::Problem problem;
-    if (opt.restore_path.empty()) {
+    if (!opt.restore_path.empty()) {
+      // The restored packets come from the checkpoint, not a workload:
+      // the engine must start empty for restore_checkpoint to accept it.
+      problem.name = "restored";
+    } else if (!inject) {
       problem = opt.load_path.empty()
                     ? make_workload(opt, *network, rng)
                     : hp::workload::load_problem(opt.load_path);
@@ -461,10 +438,6 @@ int main(int argc, char** argv) {
       if (!opt.save_path.empty()) {
         hp::workload::save_problem(opt.save_path, problem);
       }
-    } else {
-      // The restored packets come from the checkpoint, not a workload:
-      // the engine must start empty for restore_checkpoint to accept it.
-      problem.name = "restored";
     }
     auto policy = make_policy(opt, *network);
 
@@ -473,9 +446,15 @@ int main(int argc, char** argv) {
     config.seed = opt.seed;
     config.num_threads = opt.threads;
     config.profile = opt.profile;
+    config.archive_arrivals = !inject;  // unbounded run: O(in-flight) memory
+    std::optional<hp::stats::SteadyStateMeter> meter;  // outlives the engine
     hp::sim::Engine engine(*network, problem, *policy, config);
     if (!opt.restore_path.empty()) {
       hp::sim::restore_checkpoint(engine, opt.restore_path);
+    }
+    if (inject) {
+      // The first 20% of the run is warmup.
+      meter.emplace(engine, opt.inject_rate, opt.inject_steps / 5, opt.seed);
     }
 
     // Optional instrumentation.
@@ -526,7 +505,9 @@ int main(int argc, char** argv) {
     }
 
     hp::sim::RunResult result;
-    if (!opt.checkpoint_path.empty() && opt.checkpoint_at > 0) {
+    if (inject) {
+      engine.run_for(opt.inject_steps);
+    } else if (!opt.checkpoint_path.empty() && opt.checkpoint_at > 0) {
       // Mid-run checkpoint: run to the requested step boundary, save,
       // then keep running (max_steps still caps the whole run).
       engine.run_for(opt.checkpoint_at);
@@ -565,6 +546,19 @@ int main(int argc, char** argv) {
 
     if (opt.csv) {
       recorder.write_csv(std::cout);
+    } else if (meter) {
+      const hp::sim::WindowMeasurement m = meter->measurement(engine);
+      std::cout << "network         : " << network->name() << "\n"
+                << "policy          : " << policy->name() << "\n"
+                << "offered rate    : " << m.offered_rate
+                << " per node per step\n"
+                << "admit fraction  : " << m.admit_fraction << "\n"
+                << "throughput      : " << m.throughput
+                << " deliveries per node per step\n"
+                << "mean latency    : " << m.mean_latency << "\n"
+                << "p99 latency     : " << m.p99_latency << "\n"
+                << "mean in flight  : " << m.mean_population << "\n"
+                << "deflections/pkt : " << m.deflections_per_delivered << "\n";
     } else {
       const auto summary = hp::stats::summarize_latency(result);
       std::cout << "network        : " << network->name() << " ("
@@ -609,7 +603,7 @@ int main(int argc, char** argv) {
       std::cout << "state fingerprint : 0x" << std::hex
                 << hp::sim::state_fingerprint(engine) << std::dec << "\n";
     }
-    return result.completed ? 0 : 1;
+    return inject || result.completed ? 0 : 1;
   } catch (const hp::CheckError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -2,13 +2,23 @@
 
 #include <cstddef>
 
-#include "sim/engine.hpp"
-
 namespace hp::obs {
+namespace {
 
-EngineMetrics::EngineMetrics(MetricsRegistry& registry, Config config)
+// Histogram ranges: [0, hi) with fixed-width bins; out-of-range samples
+// clamp to the edge bins, the summary stats stay exact.
+constexpr double kLatencyHi = 4096.0;
+constexpr std::size_t kLatencyBins = 64;
+constexpr double kDeflectionsHi = 256.0;
+constexpr std::size_t kDeflectionsBins = 64;
+// Definition 9 bad-node threshold d: a node is bad when it holds more
+// than this many packets.
+constexpr std::size_t kBadThreshold = 2;
+
+}  // namespace
+
+EngineMetrics::EngineMetrics(MetricsRegistry& registry)
     : registry_(&registry),
-      config_(config),
       steps_(registry.counter("engine.steps")),
       delivered_(registry.counter("packets.delivered")),
       advances_(registry.counter("packets.advances")),
@@ -16,17 +26,16 @@ EngineMetrics::EngineMetrics(MetricsRegistry& registry, Config config)
       bad_node_steps_(registry.counter("engine.bad_node_steps")),
       in_flight_now_(registry.gauge("engine.in_flight")),
       bad_nodes_now_(registry.gauge("engine.bad_nodes")),
-      latency_(registry.distribution("packet.latency", 0.0,
-                                     config.latency_hi, config.latency_bins)),
+      latency_(registry.distribution("packet.latency", 0.0, kLatencyHi,
+                                     kLatencyBins)),
       stretch_(registry.distribution("packet.stretch", 0.0, 16.0, 64)),
       deflections_per_packet_(
-          registry.distribution("packet.deflections", 0.0,
-                                config.deflections_hi,
-                                config.deflections_bins)),
+          registry.distribution("packet.deflections", 0.0, kDeflectionsHi,
+                                kDeflectionsBins)),
       occupancy_(registry.distribution("node.occupancy", 0.0, 32.0, 32)),
       in_flight_(registry.distribution("step.in_flight", 0.0, 4096.0, 64)) {}
 
-void EngineMetrics::on_step(const sim::Engine& engine,
+void EngineMetrics::on_step(const sim::Engine& /*engine*/,
                             const sim::StepRecord& record) {
   steps_.add(1);
   in_flight_now_.set(static_cast<double>(record.in_flight_after));
@@ -61,7 +70,7 @@ void EngineMetrics::on_step(const sim::Engine& engine,
       ++i;
     }
     occupancy_.add(static_cast<double>(run));
-    if (run > static_cast<std::size_t>(config_.bad_threshold)) ++bad_nodes;
+    if (run > kBadThreshold) ++bad_nodes;
   }
   bad_nodes_now_.set(static_cast<double>(bad_nodes));
   bad_node_steps_.add(bad_nodes);
@@ -74,9 +83,6 @@ void EngineMetrics::on_step(const sim::Engine& engine,
   if (surface_ != nullptr) {
     surface_gauges(*surface_);
   }
-  if (config_.memory_gauges) {
-    memory_gauges(engine);
-  }
 }
 
 void EngineMetrics::potential_gauges(const core::PotentialTracker& tracker) {
@@ -85,25 +91,6 @@ void EngineMetrics::potential_gauges(const core::PotentialTracker& tracker) {
   registry_->gauge("potential.phi").set(static_cast<double>(tracker.phi()));
   registry_->gauge("potential.min_slack")
       .set(static_cast<double>(tracker.min_slack()));
-}
-
-void EngineMetrics::memory_gauges(const sim::Engine& engine) {
-  // Resolved lazily: the gauges only exist when Config::memory_gauges is
-  // on. Capacity accounting, so values are report-only (see the Config
-  // comment) — never compare them across thread counts.
-  const sim::EngineMemoryStats stats = engine.memory_stats();
-  registry_->gauge("engine.memory.total_bytes")
-      .set(static_cast<double>(stats.total()));
-  registry_->gauge("engine.memory.topology_bytes")
-      .set(static_cast<double>(stats.topology_bytes));
-  registry_->gauge("engine.memory.occupancy_bytes")
-      .set(static_cast<double>(stats.occupancy_bytes));
-  registry_->gauge("engine.memory.flight_bytes")
-      .set(static_cast<double>(stats.flight_bytes));
-  registry_->gauge("engine.memory.archive_bytes")
-      .set(static_cast<double>(stats.archive_bytes));
-  registry_->gauge("engine.memory.scratch_bytes")
-      .set(static_cast<double>(stats.scratch_bytes));
 }
 
 void EngineMetrics::surface_gauges(const core::SurfaceTracker& tracker) {

@@ -6,6 +6,12 @@
 #include "util/check.hpp"
 
 namespace hp::obs {
+namespace {
+
+// Packet spans are spread over this many tid tracks (id mod tracks).
+constexpr std::uint32_t kPacketTracks = 64;
+
+}  // namespace
 
 TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity) {
   HP_REQUIRE(capacity >= 1, "trace ring capacity must be at least 1");
@@ -53,11 +59,6 @@ void write_chrome_trace(std::ostream& out, const TraceRing& ring) {
   out << "\n]\n}\n";
 }
 
-TraceObserver::TraceObserver(TraceRing& ring, Config config)
-    : ring_(ring), config_(config) {
-  HP_REQUIRE(config_.packet_tracks >= 1, "packet_tracks must be at least 1");
-}
-
 void TraceObserver::on_step(const sim::Engine& /*engine*/,
                             const sim::StepRecord& record) {
   for (const sim::Packet& p : record.arrivals) {
@@ -67,18 +68,16 @@ void TraceObserver::on_step(const sim::Engine& /*engine*/,
     e.phase = 'X';
     e.ts = p.injected_at;
     e.dur = p.arrived_at - p.injected_at;
-    e.tid = static_cast<std::uint32_t>(p.id) % config_.packet_tracks;
+    e.tid = static_cast<std::uint32_t>(p.id) % kPacketTracks;
     ring_.push(e);
   }
-  if (config_.counters) {
-    TraceEvent e;
-    e.name = "in_flight";
-    e.phase = 'C';
-    e.ts = record.step + 1;
-    e.value = static_cast<std::int64_t>(record.in_flight_after);
-    e.has_value = true;
-    ring_.push(e);
-  }
+  TraceEvent e;
+  e.name = "in_flight";
+  e.phase = 'C';
+  e.ts = record.step + 1;
+  e.value = static_cast<std::int64_t>(record.in_flight_after);
+  e.has_value = true;
+  ring_.push(e);
 }
 
 }  // namespace hp::obs

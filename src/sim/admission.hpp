@@ -44,6 +44,7 @@ struct WindowMeasurement {
   double start_backlog = 0;    ///< in-flight per node at window start
   double end_backlog = 0;      ///< in-flight per node at window end
   std::uint64_t delivered = 0;  ///< packets delivered inside the window
+  double deflections_per_delivered = 0;  ///< of the window's deliveries
 };
 
 /// A system whose offered load can be set per window. Implementations

@@ -1,60 +1,39 @@
 #include "stats/steady_state.hpp"
 
 #include "sim/engine.hpp"
-#include "sim/injection.hpp"
-#include "stats/window.hpp"
-#include "util/check.hpp"
 
 namespace hp::stats {
 
-SteadyStateReport measure_steady_state(const net::Network& network,
-                                       sim::RoutingPolicy& policy,
-                                       double rate, std::uint64_t warmup,
-                                       std::uint64_t measure,
-                                       std::uint64_t seed) {
-  HP_REQUIRE(measure > 0, "empty measurement window");
+SteadyStateMeter::SteadyStateMeter(sim::Engine& engine, double rate,
+                                   std::uint64_t warmup, std::uint64_t seed)
+    : rate_(rate), injector_(rate, seed ^ 0x5bd1e995u) {
+  engine.set_injector(&injector_);
+  // The shared window observer streams the measurement window's stats off
+  // the step records in O(in-flight) memory.
+  window_.begin_window(engine, warmup);
+  engine.add_observer(&window_);
+}
 
+sim::WindowMeasurement SteadyStateMeter::measurement(
+    const sim::Engine& engine) const {
+  return window_.measurement(engine, rate_, injector_.offered(),
+                             injector_.admitted());
+}
+
+sim::WindowMeasurement measure_steady_state(const net::Network& network,
+                                            sim::RoutingPolicy& policy,
+                                            double rate, std::uint64_t warmup,
+                                            std::uint64_t measure,
+                                            std::uint64_t seed) {
   workload::Problem empty;
   empty.name = "steady-state";
   sim::EngineConfig config;
   config.seed = seed;
-  config.detect_livelock = false;
   config.archive_arrivals = false;  // unbounded run: O(in-flight) memory
   sim::Engine engine(network, empty, policy, config);
-  sim::BernoulliInjector injector(rate, seed ^ 0x5bd1e995u);
-  engine.set_injector(&injector);
-  // The shared window observer streams the measurement window's stats off
-  // the step records in O(in-flight) memory; steps before `warmup` and
-  // latencies of warmup-injected packets are excluded.
-  WindowStats probe;
-  probe.begin_window(/*start_step=*/warmup, /*injected_floor=*/warmup);
-  engine.add_observer(&probe);
-
+  const SteadyStateMeter meter(engine, rate, warmup, seed);
   engine.run_for(warmup + measure);
-
-  SteadyStateReport report;
-  report.offered_rate = rate;
-  report.admit_fraction =
-      injector.offered() == 0
-          ? 1.0
-          : static_cast<double>(injector.admitted()) /
-                static_cast<double>(injector.offered());
-
-  report.delivered_measured = probe.delivered();
-  report.throughput = static_cast<double>(probe.delivered()) /
-                      static_cast<double>(measure) /
-                      static_cast<double>(network.num_nodes());
-  if (!probe.latency().empty()) {
-    report.mean_latency = probe.latency().mean();
-    report.p99_latency = probe.latency().percentile(0.99);
-  }
-  report.mean_in_flight = probe.population().mean();
-  report.deflections_per_delivered =
-      probe.delivered() == 0
-          ? 0.0
-          : static_cast<double>(probe.deflections()) /
-                static_cast<double>(probe.delivered());
-  return report;
+  return meter.measurement(engine);
 }
 
 }  // namespace hp::stats

@@ -1,18 +1,14 @@
 #include "stats/sweep.hpp"
 
-#include "util/check.hpp"
-
 namespace hp::stats {
 
 EngineTrafficSystem::EngineTrafficSystem(const net::Network& net,
                                          sim::RoutingPolicy& policy,
                                          const workload::TrafficConfig& traffic,
                                          std::uint64_t seed,
-                                         sim::EngineConfig config)
-    : net_(net) {
+                                         sim::EngineConfig config) {
   empty_.name = "traffic";
   config.seed = seed;
-  config.detect_livelock = false;
   config.archive_arrivals = false;  // unbounded run: O(in-flight) memory
   engine_ = std::make_unique<sim::Engine>(net, empty_, policy, config);
   injector_ = std::make_unique<workload::TrafficInjector>(
@@ -25,42 +21,16 @@ EngineTrafficSystem::~EngineTrafficSystem() = default;
 
 sim::WindowMeasurement EngineTrafficSystem::run_window(
     double rate, std::uint64_t warmup_steps, std::uint64_t measure_steps) {
-  HP_REQUIRE(measure_steps > 0, "empty measurement window");
   injector_->set_rate(rate);
-  const std::uint64_t start = engine_->now() + warmup_steps;
-  const double nodes = static_cast<double>(net_.num_nodes());
-
-  sim::WindowMeasurement m;
-  m.offered_rate = rate;
-  m.start_backlog = static_cast<double>(engine_->in_flight()) / nodes;
-
   // Warmup relaxes the system at the new rate (draining any backlog a
   // previous unstable window left behind — the capacity rule bounds it by
   // Σ degrees, so a short warmup suffices); the window observer skips the
   // warmup steps and attributes latency only to window-injected packets.
-  window_.begin_window(/*start_step=*/start, /*injected_floor=*/start);
+  window_.begin_window(*engine_, warmup_steps);
   injector_->reset_counters();
   engine_->run_for(warmup_steps + measure_steps);
-
-  // offered/admitted counters cover warmup + window at the *same* rate, so
-  // the fraction is the rate's own admission behavior either way.
-  m.admit_fraction = injector_->offered() == 0
-                         ? 1.0
-                         : static_cast<double>(injector_->admitted()) /
-                               static_cast<double>(injector_->offered());
-  m.admitted_rate = static_cast<double>(injector_->admitted()) /
-                    static_cast<double>(warmup_steps + measure_steps) / nodes;
-  m.throughput = static_cast<double>(window_.delivered()) /
-                 static_cast<double>(measure_steps) / nodes;
-  if (!window_.latency().empty()) {
-    m.mean_latency = window_.latency().mean();
-    m.p99_latency = window_.latency().percentile(0.99);
-  }
-  m.mean_population = window_.population().mean();
-  m.peak_in_flight = static_cast<double>(window_.peak_in_flight());
-  m.end_backlog = static_cast<double>(engine_->in_flight()) / nodes;
-  m.delivered = window_.delivered();
-  return m;
+  return window_.measurement(*engine_, rate, injector_->offered(),
+                             injector_->admitted());
 }
 
 SweepCellResult run_sweep_cell(const net::Network& net,

@@ -29,8 +29,7 @@ namespace hp::stats {
 class EngineTrafficSystem final : public sim::LoadableSystem {
  public:
   /// `net` and `policy` must outlive the system. `config.archive_arrivals`
-  /// is forced off (unbounded run) and `config.detect_livelock` is
-  /// irrelevant (injector-driven runs disable it).
+  /// is forced off (unbounded run).
   EngineTrafficSystem(const net::Network& net, sim::RoutingPolicy& policy,
                       const workload::TrafficConfig& traffic,
                       std::uint64_t seed, sim::EngineConfig config = {});
@@ -46,7 +45,6 @@ class EngineTrafficSystem final : public sim::LoadableSystem {
   const workload::TrafficInjector& injector() const { return *injector_; }
 
  private:
-  const net::Network& net_;
   std::unique_ptr<workload::TrafficInjector> injector_;
   std::unique_ptr<sim::Engine> engine_;
   WindowStats window_;

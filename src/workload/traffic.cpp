@@ -9,6 +9,14 @@
 #include "workload/generators.hpp"
 
 namespace hp::workload {
+namespace {
+
+// Shape and scale (minimum flow size, in packets) of the Pareto flow
+// sizes of TrafficConfig::pareto.
+constexpr double kParetoAlpha = 1.6;
+constexpr double kParetoScale = 1.0;
+
+}  // namespace
 
 DestPattern pattern_from_name(const std::string& name) {
   if (name == "uniform") return DestPattern::kUniform;
@@ -112,8 +120,7 @@ void TrafficInjector::set_rate(double rate) {
   rate_ = rate;
   double mean_flow = 1.0;
   if (config_.pareto) {
-    mean_flow = ParetoSampler(config_.pareto_alpha, config_.pareto_scale)
-                    .mean();
+    mean_flow = ParetoSampler(kParetoAlpha, kParetoScale).mean();
   }
   flow_rate_ = std::min(1.0, rate_ / mean_flow);
 }
@@ -156,8 +163,8 @@ net::NodeId TrafficInjector::draw_dst(net::NodeId src) {
 
 std::uint64_t TrafficInjector::draw_flow_size() {
   if (!config_.pareto) return 1;
-  return ParetoSampler(config_.pareto_alpha, config_.pareto_scale)
-      .sample_size(rng_, config_.max_flow_packets);
+  const ParetoSampler flows(kParetoAlpha, kParetoScale);
+  return flows.sample_size(rng_, config_.max_flow_packets);
 }
 
 void TrafficInjector::inject(sim::Engine& engine, std::uint64_t /*step*/) {

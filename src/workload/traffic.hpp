@@ -67,11 +67,9 @@ struct TrafficConfig {
   DestPattern pattern = DestPattern::kUniform;
   /// kHotspot: number of hot receiver nodes (drawn once from the seed).
   int hotspots = 4;
-  /// Heavy-tailed Pareto flow sizes; false = every flow is one packet,
-  /// which reduces the source to patterned Bernoulli arrivals.
+  /// Heavy-tailed Pareto(1.6, 1) flow sizes; false = every flow is one
+  /// packet, which reduces the source to patterned Bernoulli arrivals.
   bool pareto = false;
-  double pareto_alpha = 1.6;
-  double pareto_scale = 1.0;
   /// Tail clamp for one flow, in packets.
   std::uint64_t max_flow_packets = std::uint64_t{1} << 16;
 };

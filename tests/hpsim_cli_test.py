@@ -88,15 +88,69 @@ def test_thread_count_invariance(hpsim, tmp):
           artifacts[0][1] == artifacts[1][1])
 
 
-def test_conflicting_flags(hpsim, tmp):
-    for flag in (["--metrics", str(tmp / "x.json")],
-                 ["--trace", str(tmp / "x.trace")],
-                 ["--profile"]):
-        proc = run(hpsim, "--inject", "0.01", "--inject-steps", "50", *flag)
+def inject_args(*extra):
+    return [
+        "--inject", "0.05", "--inject-steps", "300", "--topology", "mesh",
+        "--n", "8", "--seed", "3", *extra,
+    ]
+
+
+def test_inject_observability(hpsim, tmp):
+    metrics = tmp / "inject.metrics.json"
+    trace = tmp / "inject.trace.json"
+    proc = run(hpsim, *inject_args("--metrics", str(metrics),
+                                   "--trace", str(trace), "--profile"))
+    check("--inject with observers exits 0", proc.returncode == 0,
+          proc.stderr)
+    check("--inject profile report on stderr",
+          "engine phase profile" in proc.stderr)
+    doc = json.loads(metrics.read_text())
+    check("--inject metrics schema", doc.get("schema") == "hp-metrics-v1")
+    check("--inject metrics count deliveries",
+          doc.get("counters", {}).get("packets.delivered", 0) > 0)
+    tdoc = json.loads(trace.read_text())
+    check("--inject trace has events", len(tdoc.get("traceEvents", [])) > 0)
+
+    # Without --profile the artifacts are virtual-time only.
+    outputs = []
+    for threads in ("1", "4"):
+        metrics = tmp / f"inject_t{threads}.metrics.json"
+        trace = tmp / f"inject_t{threads}.trace.json"
+        proc = run(hpsim, *inject_args("--threads", threads, "--fingerprint",
+                                       "--metrics", str(metrics),
+                                       "--trace", str(trace)))
+        check(f"--inject --threads {threads} exits 0", proc.returncode == 0,
+              proc.stderr)
+        fingerprint = [line for line in proc.stdout.splitlines()
+                       if line.startswith("state fingerprint : 0x")]
+        check(f"--inject --threads {threads} prints the fingerprint",
+              len(fingerprint) == 1)
+        outputs.append((metrics.read_bytes(), trace.read_bytes(),
+                        fingerprint))
+    check("--inject metrics identical across threads",
+          outputs[0][0] == outputs[1][0])
+    check("--inject trace identical across threads",
+          outputs[0][1] == outputs[1][1])
+    check("--inject fingerprint identical across threads",
+          outputs[0][2] == outputs[1][2])
+
+    csv = run(hpsim, *inject_args("--csv"))
+    check("--inject --csv exits 0", csv.returncode == 0, csv.stderr)
+    check("--inject --csv prints the per-step header",
+          csv.stdout.startswith("step,in_flight,advanced,deflected,arrived,"
+                                "total_distance\n"))
+
+
+def test_inject_conflicts(hpsim, tmp):
+    for flag in (["--audit"], ["--save", str(tmp / "x.txt")],
+                 ["--load", str(tmp / "x.txt")],
+                 ["--checkpoint", str(tmp / "x.ckpt")],
+                 ["--restore", str(tmp / "x.ckpt")]):
+        proc = run(hpsim, *inject_args(*flag))
         check(f"--inject rejects {flag[0]}", proc.returncode == 2,
               f"exit={proc.returncode}")
-        check(f"{flag[0]} conflict names the flags",
-              "--inject" in proc.stderr)
+        check(f"{flag[0]} conflict names --inject", "--inject" in proc.stderr)
+    check("rejected --save writes no file", not (tmp / "x.txt").exists())
 
 
 def test_missing_values(hpsim):
@@ -153,8 +207,8 @@ def test_probe_determinism_across_threads(hpsim):
 
 
 def test_probe_conflicts(hpsim, tmp):
-    # Same convention as --inject vs the batch-only observability flags:
-    # incompatible modes exit 2 and the message names the flags.
+    # Same convention as --inject vs the batch-only flags: incompatible
+    # modes exit 2 and the message names the flags.
     for mode in ("--probe", "--sweep-cell"):
         for flag in (["--metrics", str(tmp / "x.json")],
                      ["--trace", str(tmp / "x.trace")],
@@ -341,7 +395,8 @@ def main():
         test_metrics_and_trace_roundtrip(hpsim, tmp)
         test_metrics_csv_roundtrip(hpsim, tmp)
         test_thread_count_invariance(hpsim, tmp)
-        test_conflicting_flags(hpsim, tmp)
+        test_inject_observability(hpsim, tmp)
+        test_inject_conflicts(hpsim, tmp)
         test_missing_values(hpsim)
         test_probe_mode(hpsim)
         test_sweep_cell_mode(hpsim)

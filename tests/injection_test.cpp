@@ -173,7 +173,7 @@ TEST(SteadyState, LowLoadLatencyNearDistance) {
   routing::RestrictedPriorityPolicy policy;
   const auto report =
       stats::measure_steady_state(mesh, policy, 0.02, 200, 800, 3);
-  EXPECT_GT(report.delivered_measured, 50u);
+  EXPECT_GT(report.delivered, 50u);
   EXPECT_DOUBLE_EQ(report.admit_fraction, 1.0);
   EXPECT_LT(report.deflections_per_delivered, 0.2);
   EXPECT_GT(report.mean_latency, 2.0);
@@ -200,7 +200,7 @@ TEST(SteadyState, LittlesLawHoldsBelowSaturation) {
   const double lambda =
       report.throughput * static_cast<double>(mesh.num_nodes());
   const double little = lambda * report.mean_latency;
-  EXPECT_NEAR(report.mean_in_flight, little, 0.15 * little);
+  EXPECT_NEAR(report.mean_population, little, 0.15 * little);
 }
 
 TEST(Injection, ArrivalAndInjectionSameStepSameNode) {
@@ -290,7 +290,7 @@ TEST(SteadyState, HighLoadBlocksAndDeflects) {
   EXPECT_LT(high.admit_fraction, 1.0);
   EXPECT_GT(high.mean_latency, low.mean_latency);
   EXPECT_GT(high.deflections_per_delivered, low.deflections_per_delivered);
-  EXPECT_GT(high.mean_in_flight, low.mean_in_flight);
+  EXPECT_GT(high.mean_population, low.mean_population);
 }
 
 }  // namespace
