@@ -28,18 +28,9 @@ class WindowStats final : public sim::StepObserver {
   void on_step(const sim::Engine& engine,
                const sim::StepRecord& record) override;
 
-  /// Pre-move population: packets routed in the step (each packet counts
-  /// once per step it spent in the network — the L of Little's law).
-  const RunningStat& population() const { return population_; }
   /// Post-move in-flight count (after this step's absorptions).
   const RunningStat& in_flight_after() const { return in_flight_after_; }
   std::size_t peak_in_flight() const { return peak_; }
-
-  const Samples& latency() const { return latency_; }
-  /// Measured steps (the warmup excluded).
-  std::uint64_t steps() const { return steps_; }
-  std::uint64_t delivered() const { return delivered_; }
-  std::uint64_t deflections() const { return deflections_; }
 
   /// The window arithmetic of every steady-state harness. Call once
   /// `engine` has run the warmup and the measured steps of this window;
@@ -54,11 +45,13 @@ class WindowStats final : public sim::StepObserver {
   std::uint64_t begin_step_ = 0;  ///< engine step at begin_window()
   std::size_t begin_in_flight_ = 0;
   std::uint64_t start_step_ = 0;  ///< first measured step
+  /// Pre-move population: packets routed in the step (each packet counts
+  /// once per step it spent in the network — the L of Little's law).
   RunningStat population_;
   RunningStat in_flight_after_;
   Samples latency_;
   std::size_t peak_ = 0;
-  std::uint64_t steps_ = 0;
+  std::uint64_t steps_ = 0;  ///< measured steps (the warmup excluded)
   std::uint64_t delivered_ = 0;
   std::uint64_t deflections_ = 0;
 };
