@@ -31,6 +31,7 @@ import determinism_lint  # noqa: E402
 
 REACH = HERE / "fixtures" / "reach"
 LAYER = HERE / "fixtures" / "layering"
+SHIP = HERE / "fixtures" / "shipping"
 
 
 def run_lint(argv: list[str]) -> tuple[int, str]:
@@ -182,6 +183,104 @@ class ArtifactFreshness(unittest.TestCase):
             self.assertEqual(code, 1, out)
 
 
+class ShippingGate(unittest.TestCase):
+    """`shipping --check` over a miniature src/ + examples/ tree."""
+
+    def setUp(self):
+        td = tempfile.TemporaryDirectory()
+        self.addCleanup(td.cleanup)
+        self.root = pathlib.Path(td.name) / "tree"
+        shutil.copytree(SHIP, self.root)
+        self.allowlist = self.root / "shipping.json"
+
+    def check(self) -> tuple[int, str]:
+        return run_callgraph(
+            [
+                "--root", str(self.root),
+                "shipping", "--check", "--allowlist", str(self.allowlist),
+            ]
+        )
+
+    def add_src(self, text: str) -> None:
+        lib = self.root / "src" / "util" / "lib.cpp"
+        lib.write_text(lib.read_text() + text)
+
+    def set_allowlist(self, entries: list[dict]) -> None:
+        self.allowlist.write_text(json.dumps({"test_only": entries}))
+
+    def test_fixture_passes(self):
+        code, out = self.check()
+        self.assertEqual(code, 0, out)
+
+    def test_test_only_census(self):
+        program = callgraph.load_program(
+            self.root, None, ("src",) + callgraph.SHIPPED_DIRS
+        )
+        self.assertEqual(
+            sorted(callgraph.test_only_functions(program)), ["hp::paper_bound"]
+        )
+
+    def test_operator_constructor_and_macro_body_calls_pass(self):
+        # Nothing shipped names Vec, its operator[], its destructor or
+        # detail::fail_if (only the LIB_CHECK body does); none is flagged.
+        program = callgraph.load_program(
+            self.root, None, ("src",) + callgraph.SHIPPED_DIRS
+        )
+        reached = set(callgraph.test_only_functions(program))
+        for name in (
+            "hp::Vec::Vec", "hp::Vec::~Vec", "hp::Vec::operator[]",
+            "hp::detail::fail_if",
+        ):
+            self.assertNotIn(name, reached)
+
+    def test_non_main_shipped_function_is_a_root(self):
+        # examples/demo.cpp's print_report is never called from main, yet
+        # report_stat, which only it calls, counts as shipped.
+        code, out = self.check()
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("report_stat", out)
+
+    def test_new_unlisted_test_only_function_fails(self):
+        self.add_src("namespace hp {\nint only_tests_call_me() { return 1; }\n}\n")
+        code, out = self.check()
+        self.assertEqual(code, 1, out)
+        self.assertIn("hp::only_tests_call_me is reached only by tests", out)
+
+    def test_build_tree_is_not_shipped(self):
+        gen = self.root / "examples" / "build" / "gen.cpp"
+        gen.parent.mkdir()
+        gen.write_text("int main() { return hp::paper_bound(2); }\n")
+        code, out = self.check()
+        self.assertEqual(code, 0, out)
+
+    def test_stale_entry_for_missing_function_fails(self):
+        self.set_allowlist(
+            [
+                {"function": "hp::paper_bound", "reason": "paper artifact"},
+                {"function": "hp::deleted_long_ago", "reason": "was one"},
+            ]
+        )
+        code, out = self.check()
+        self.assertEqual(code, 1, out)
+        self.assertIn("stale allowlist entry hp::deleted_long_ago", out)
+
+    def test_stale_entry_for_shipped_function_fails(self):
+        self.set_allowlist(
+            [
+                {"function": "hp::paper_bound", "reason": "paper artifact"},
+                {"function": "hp::shipped_helper", "reason": "reference"},
+            ]
+        )
+        code, out = self.check()
+        self.assertEqual(code, 1, out)
+        self.assertIn("hp::shipped_helper: a shipped binary reaches it", out)
+
+    def test_reasonless_entry_is_rejected(self):
+        self.set_allowlist([{"function": "hp::paper_bound", "reason": " "}])
+        code, out = self.check()
+        self.assertEqual(code, 2, out)
+
+
 class LayeringFixture(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
@@ -219,6 +318,30 @@ class LayeringFixture(unittest.TestCase):
         srcs = {v.src for v in self.violations}
         self.assertNotIn("src/routing/excused.cpp", srcs)
         self.assertNotIn("src/sim/engine.hpp", srcs)
+
+    def test_override_outside_src_joins_the_gate(self):
+        # A harness header kept beside its tests but placed on the util
+        # layer is held to that rank.
+        with tempfile.TemporaryDirectory() as td:
+            root = pathlib.Path(td) / "tree"
+            shutil.copytree(LAYER, root)
+            harness = root / "tests" / "model" / "harness.hpp"
+            harness.parent.mkdir(parents=True)
+            harness.write_text('#include "sim/engine.hpp"\n')
+            config = json.loads((root / "layering_config.json").read_text())
+            config["file_overrides"]["tests/model/harness.hpp"] = {
+                "layer": "util",
+                "reason": "model-checker harness",
+            }
+            path = root / "layering_config.json"
+            path.write_text(json.dumps(config))
+            code, out = run_callgraph(
+                ["--root", str(root), "layering", "--config", str(path)]
+            )
+            self.assertEqual(code, 1, out)
+            self.assertIn(
+                "tests/model/harness.hpp: [layering] layer 'util'", out
+            )
 
     def test_reasonless_exception_is_rejected(self):
         config = json.loads(
@@ -282,6 +405,41 @@ class ParserRobustness(unittest.TestCase):
         )
         (fn,) = pf.functions
         self.assertEqual(fn.calls, set())
+
+    def test_macro_continuation_is_not_a_definition(self):
+        pf = callgraph.parse_file(
+            "src/util/x.hpp",
+            "#define CHECK(e) \\\n"
+            "  ::hp::detail::fail(e)\n"
+            "namespace hp {\nint after() { return 1; }\n}\n",
+        )
+        self.assertEqual([fn.qualified for fn in pf.functions], ["hp::after"])
+        self.assertEqual(pf.macro_calls, {"fail"})
+
+    def test_template_parameter_is_not_the_class_name(self):
+        pf = callgraph.parse_file(
+            "src/util/x.hpp",
+            "namespace hp {\ntemplate <class Sync>\n"
+            'class ATTR("cap") Barrier {\n public:\n'
+            "  explicit Barrier(int n) : n_(n) {}\n"
+            "  int open() { return n_; }\n  int n_;\n};\n}\n",
+        )
+        self.assertEqual(
+            [fn.qualified for fn in pf.functions],
+            ["hp::Barrier::Barrier", "hp::Barrier::open"],
+        )
+        self.assertEqual(pf.classes, {"Barrier"})
+
+    def test_digit_separator_does_not_open_a_char_literal(self):
+        pf = callgraph.parse_file(
+            "src/sim/x.cpp",
+            "namespace hp {\nvoid f() {\n  const int n = 100'000;\n"
+            "  g(n);\n}\nvoid h() { k(); }\n}\n",
+        )
+        self.assertEqual(
+            {fn.qualified: fn.calls for fn in pf.functions},
+            {"hp::f": {"g"}, "hp::h": {"k"}},
+        )
 
     def test_class_mention_reaches_constructor(self):
         pf = callgraph.parse_file(

@@ -3,7 +3,9 @@
 # (docs/STATIC_ANALYSIS.md):
 #
 #   1. whole-program analyzer — scripts/analysis/ self-tests, then the
-#      layering gate and the routing_reachable.json freshness check
+#      layering gate, the routing_reachable.json freshness check and the
+#      shipping gate (src/ functions only tests reach need an allowlist
+#      entry in scripts/analysis/shipping.json)
 #   2. determinism lint  — scripts/lint/ self-tests, then the live tree
 #      (scope = prefix floor ∪ the reachability artifact); includes the
 #      atomics-discipline rules (implicit seq_cst, volatile,
@@ -103,6 +105,9 @@ python3 scripts/analysis/callgraph.py layering || fail_layer
 
 layer "routing_reachable.json freshness"
 python3 scripts/analysis/callgraph.py reachable --check || fail_layer
+
+layer "shipping gate (src/ reached by shipped binaries or allowlisted)"
+python3 scripts/analysis/callgraph.py shipping --check || fail_layer
 
 layer "determinism lint: fixture self-tests"
 python3 scripts/lint/test_determinism_lint.py || fail_layer

@@ -34,7 +34,6 @@ void GreedyChecker::on_step(const sim::Engine& /*engine*/,
     }
     for (std::size_t i = begin; i < end; ++i) {
       if (as[i].advances()) continue;
-      ++deflections_;
       if ((as[i].good_mask & ~advancing_mask) != 0) {
         std::ostringstream os;
         os << "step " << record.step << " node " << as[i].node << ": packet "
@@ -53,7 +52,6 @@ void RestrictedPreferenceChecker::on_step(const sim::Engine& /*engine*/,
   for_each_node_group(as, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       if (as[i].advances() || as[i].num_good() != 1) continue;
-      ++restricted_deflections_;
       // Find who is using this restricted packet's single good arc.
       bool ok = false;
       for (std::size_t j = begin; j < end; ++j) {

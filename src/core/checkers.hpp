@@ -22,12 +22,10 @@ class GreedyChecker : public sim::StepObserver {
 
   const std::vector<std::string>& violations() const { return violations_; }
   std::uint64_t steps_checked() const { return steps_; }
-  std::uint64_t deflections_checked() const { return deflections_; }
 
  private:
   std::vector<std::string> violations_;
   std::uint64_t steps_ = 0;
-  std::uint64_t deflections_ = 0;
 };
 
 /// Definition 18: the algorithm prefers restricted packets — a
@@ -40,13 +38,9 @@ class RestrictedPreferenceChecker : public sim::StepObserver {
                const sim::StepRecord& record) override;
 
   const std::vector<std::string>& violations() const { return violations_; }
-  std::uint64_t restricted_deflections() const {
-    return restricted_deflections_;
-  }
 
  private:
   std::vector<std::string> violations_;
-  std::uint64_t restricted_deflections_ = 0;
 };
 
 /// Census of packet classes over time: how many packets are restricted of

@@ -29,7 +29,6 @@ class CellSet {
   bool contains(const net::Coord& c) const;
   /// Adds a cell; duplicates are ignored. Returns true if newly added.
   bool add(const net::Coord& c);
-  const std::vector<net::Coord>& cells() const { return cells_; }
 
   /// Exact surface area: the number of (cell, direction) pairs whose
   /// neighboring cell is not in the set.

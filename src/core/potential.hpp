@@ -65,11 +65,6 @@ class PotentialTracker : public sim::StepObserver {
   /// the beginning of step t.
   const std::vector<std::int64_t>& phi_series() const { return phi_series_; }
 
-  /// Current additional potential of one packet.
-  std::int64_t c_of(sim::PacketId id) const {
-    return c_[static_cast<std::size_t>(id)];
-  }
-
   const std::vector<NodeViolation>& property8_violations() const {
     return property8_violations_;
   }

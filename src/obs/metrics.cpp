@@ -31,16 +31,6 @@ Distribution& MetricsRegistry::distribution(const std::string& name,
   return it->second;
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Distribution* MetricsRegistry::find_distribution(
     const std::string& name) const {
   const auto it = distributions_.find(name);

@@ -80,8 +80,6 @@ class MetricsRegistry {
                              std::size_t bins);
 
   /// Read-only lookups; nullptr when the name was never registered.
-  const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
   const Distribution* find_distribution(const std::string& name) const;
 
   bool empty() const {

@@ -68,7 +68,6 @@ class PhaseProfiler {
   const ShardPhaseStat& shard_stat(Phase p) const {
     return shard_stats_[static_cast<std::size_t>(p)];
   }
-  std::uint64_t steps() const { return steps_; }
   /// Sharded-epoch count / balance of one phase. Imbalance is the mean
   /// over epochs of (slowest task / mean task); 1.0 is perfectly balanced,
   /// 0 when the phase never ran sharded.

@@ -115,8 +115,6 @@ class AdmissionController {
   /// The stability verdict on one window, exposed for direct unit tests.
   bool stable(const WindowMeasurement& m) const;
 
-  const ProbeConfig& config() const { return config_; }
-
  private:
   ProbeConfig config_;
 };

@@ -41,8 +41,6 @@ class BernoulliInjector : public Injector {
 
   std::uint64_t offered() const { return offered_; }
   std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t blocked() const { return offered_ - admitted_; }
-  double rate() const { return rate_; }
 
  private:
   double rate_;

@@ -27,8 +27,6 @@ class RunRecorder : public sim::StepObserver {
   void on_step(const sim::Engine& engine,
                const sim::StepRecord& record) override;
 
-  const std::vector<StepRow>& rows() const { return rows_; }
-
   /// Writes the series as CSV (step, in_flight, advanced, deflected,
   /// arrived, total_distance).
   void write_csv(std::ostream& out) const;

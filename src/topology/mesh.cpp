@@ -143,12 +143,4 @@ NodeId Mesh::two_neighbor(NodeId node, Dir dir) const {
   return neighbor(mid, dir);
 }
 
-int Mesh::parity_class(NodeId node) const {
-  int cls = 0;
-  for (int axis = 0; axis < dim_; ++axis) {
-    cls |= (coord(node, axis) & 1) << axis;
-  }
-  return cls;
-}
-
 }  // namespace hp::net

@@ -67,12 +67,6 @@ class Mesh final : public Network {
   /// Only meaningful for wrap=false (the analysis setting).
   NodeId two_neighbor(NodeId node, Dir dir) const;
 
-  /// Index in [0, 2^dim) of the equivalence class of `node` under the
-  /// transitive closure of the 2-neighbor relation — the vector of
-  /// coordinate parities. Nodes are in the same class iff all their
-  /// coordinate parities agree.
-  int parity_class(NodeId node) const;
-
  private:
   int dim_;
   int side_;

@@ -22,12 +22,4 @@ std::uint32_t Network::good_mask(NodeId at, NodeId dst) const {
   return mask;
 }
 
-std::size_t Network::num_arcs() const {
-  std::size_t arcs = 0;
-  for (NodeId v = 0; v < static_cast<NodeId>(num_nodes()); ++v) {
-    arcs += static_cast<std::size_t>(degree(v));
-  }
-  return arcs;
-}
-
 }  // namespace hp::net

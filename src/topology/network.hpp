@@ -62,9 +62,6 @@ class Network {
   /// topologies override it with closed forms. The engine calls this (via
   /// RoutingPolicy::batch_good_dirs) once per resident of every routed node.
   virtual std::uint32_t good_mask(NodeId at, NodeId dst) const;
-
-  /// Total number of directed arcs in the network.
-  std::size_t num_arcs() const;
 };
 
 }  // namespace hp::net

@@ -70,7 +70,6 @@ class InlineVector {
   static constexpr std::size_t capacity() { return N; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == N; }
 
   T* data() { return reinterpret_cast<T*>(storage_.data()); }
   const T* data() const { return reinterpret_cast<const T*>(storage_.data()); }
@@ -110,15 +109,6 @@ class InlineVector {
     HP_CHECK(size_ > 0, "pop_back on empty InlineVector");
     --size_;
     data()[size_].~T();
-  }
-
-  /// Removes the element at index i, preserving order of the rest.
-  void erase_at(std::size_t i) {
-    HP_CHECK(i < size_, "erase_at out of range");
-    for (std::size_t j = i + 1; j < size_; ++j) {
-      data()[j - 1] = std::move(data()[j]);
-    }
-    pop_back();
   }
 
   void clear() {

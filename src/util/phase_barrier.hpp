@@ -29,13 +29,14 @@
 //
 // The barrier is a template over a `Sync` policy so the identical protocol
 // code runs against either real atomics (RealSync, the production alias
-// below) or the hp::model shim (util/model_sync.hpp), whose cooperative
-// scheduler explores thread interleavings exhaustively. The capability
-// analysis cannot see atomics themselves, so the happens-before argument in
-// the comments above each member is checked three ways: dynamically under
-// -fsanitize=thread in CI, structurally by the phase-effects analyzer, and
-// exhaustively (every schedule up to a preemption bound) by the model
-// checker in tests/model/ (docs/STATIC_ANALYSIS.md, layer 8).
+// below) or the hp::model shim (tests/model/model_sync.hpp), whose
+// cooperative scheduler explores thread interleavings exhaustively. The
+// capability analysis cannot see atomics themselves, so the happens-before
+// argument in the comments above each member is checked three ways:
+// dynamically under -fsanitize=thread in CI, structurally by the
+// phase-effects analyzer, and exhaustively (every schedule up to a
+// preemption bound) by the model checker in tests/model/
+// (docs/STATIC_ANALYSIS.md, layer 8).
 #pragma once
 
 #include <atomic>
@@ -68,7 +69,7 @@ inline void cpu_relax() {
 /// Production synchronization policy: plain std::atomic, a real pause hint,
 /// and a spin window sized for epochs that arrive back-to-back inside one
 /// engine step. The model checker substitutes hp::model::ModelSync, whose
-/// every operation is a scheduler decision point (util/model_sync.hpp).
+/// every operation is a scheduler decision point (tests/model/model_sync.hpp).
 struct RealSync {
   template <class T>
   using Atomic = std::atomic<T>;
@@ -115,8 +116,6 @@ class HP_CAPABILITY("barrier") BasicPhaseBarrier {
 
   BasicPhaseBarrier(const BasicPhaseBarrier&) = delete;
   BasicPhaseBarrier& operator=(const BasicPhaseBarrier&) = delete;
-
-  std::uint32_t num_workers() const { return workers_; }
 
   // --- main-thread side ----------------------------------------------------
 

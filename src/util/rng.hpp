@@ -68,12 +68,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in the inclusive range [lo, hi].
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    uniform(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   /// Uniform double in [0, 1).
   double real() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -91,16 +85,6 @@ class Rng {
       swap(items[i - 1], items[j]);
     }
   }
-
-  /// Picks a uniformly random element of a nonempty span.
-  template <typename T>
-  T& pick(std::span<T> items) {
-    return items[uniform(items.size())];
-  }
-
-  /// Returns an independently seeded generator derived from this one.
-  /// Useful for giving each run / node / worker its own stream.
-  Rng split() { return Rng(next_u64() ^ 0xa0761d6478bd642fULL); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -11,19 +10,10 @@ namespace hp {
 void RunningStat::add(double x) {
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void Samples::ensure_sorted() const {
   if (!sorted_) {
@@ -74,31 +64,6 @@ void Histogram::add(double x) {
                                  static_cast<std::int64_t>(counts_.size()) - 1);
   ++counts_[static_cast<std::size_t>(bin)];
   ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar = peak == 0 ? std::size_t{0}
-                               : static_cast<std::size_t>(
-                                     static_cast<double>(counts_[i]) *
-                                     static_cast<double>(width) /
-                                     static_cast<double>(peak));
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(std::max<std::size_t>(bar, 1), '#') << " " << counts_[i]
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace hp

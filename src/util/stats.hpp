@@ -9,7 +9,7 @@
 
 namespace hp {
 
-/// Streaming summary statistics (Welford's algorithm for variance).
+/// Streaming summary statistics (count, running mean, extremes, sum).
 class RunningStat {
  public:
   void add(double x);
@@ -19,14 +19,10 @@ class RunningStat {
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return sum_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -44,7 +40,6 @@ class Samples {
   double max() const;
   /// p in [0, 1]; nearest-rank percentile. Requires at least one sample.
   double percentile(double p) const;
-  const std::vector<double>& values() const { return values_; }
 
  private:
   mutable std::vector<double> values_;
@@ -62,10 +57,6 @@ class Histogram {
   std::size_t bins() const { return counts_.size(); }
   std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
   std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Renders a compact ASCII bar chart, one line per nonempty bin.
-  std::string ascii(std::size_t width = 40) const;
 
  private:
   double lo_;

@@ -182,40 +182,4 @@ Problem saturated_random(const net::Network& net, int per_node, Rng& rng) {
   return problem;
 }
 
-Problem tornado(const net::Mesh& torus) {
-  HP_REQUIRE(torus.wraps(), "tornado traffic is defined on the torus");
-  const int n = torus.side();
-  const int shift = n / 2 - 1;
-  HP_REQUIRE(shift >= 1, "torus too small for tornado traffic");
-  Problem problem;
-  problem.name = "tornado";
-  for (net::NodeId v = 0; v < static_cast<net::NodeId>(torus.num_nodes());
-       ++v) {
-    net::Coord c = torus.coords(v);
-    net::Coord t = c;
-    t[0] = (c[0] + shift) % n;
-    problem.packets.push_back({v, torus.node_at(t)});
-  }
-  return problem;
-}
-
-Problem rows_to_random_columns(const net::Mesh& mesh, Rng& rng) {
-  HP_REQUIRE(mesh.dim() == 2, "rows_to_random_columns is a 2-D workload");
-  const int n = mesh.side();
-  std::vector<int> row_to_col(static_cast<std::size_t>(n));
-  std::iota(row_to_col.begin(), row_to_col.end(), 0);
-  rng.shuffle(std::span<int>(row_to_col));
-  Problem problem;
-  problem.name = "rows-to-random-columns";
-  for (net::NodeId v = 0; v < static_cast<net::NodeId>(mesh.num_nodes());
-       ++v) {
-    net::Coord c = mesh.coords(v);
-    net::Coord t;
-    t.push_back(row_to_col[static_cast<std::size_t>(c[1])]);
-    t.push_back(c[0]);
-    problem.packets.push_back({v, mesh.node_at(t)});
-  }
-  return problem;
-}
-
 }  // namespace hp::workload

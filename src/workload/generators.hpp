@@ -53,15 +53,4 @@ Problem corner_to_corner(const net::Mesh& mesh, Rng& rng);
 /// on interior-heavy meshes — corner/edge nodes get their degree's worth).
 Problem saturated_random(const net::Network& net, int per_node, Rng& rng);
 
-/// Row-to-column mapping on a 2-D mesh: node (x, y) sends to (y, x) of a
-/// random row permutation — keeps per-column destination multiplicity m
-/// controllable for the [BRST]-style comparisons.
-Problem rows_to_random_columns(const net::Mesh& mesh, Rng& rng);
-
-/// Tornado traffic on a torus: node (x, y, …) sends to the node halfway
-/// around its first ring, (x + ⌊n/2⌋ − 1 mod n, y, …) — the classic
-/// adversarial pattern for wrap-around networks (every packet travels the
-/// near-maximal row distance in the same rotational direction).
-Problem tornado(const net::Mesh& torus);
-
 }  // namespace hp::workload

@@ -117,12 +117,11 @@ TrafficInjector::TrafficInjector(const net::Network& net,
 void TrafficInjector::set_rate(double rate) {
   HP_REQUIRE(rate >= 0.0 && rate <= 1.0,
              "offered rate must be in [0, 1] packets per node per step");
-  rate_ = rate;
   double mean_flow = 1.0;
   if (config_.pareto) {
     mean_flow = ParetoSampler(kParetoAlpha, kParetoScale).mean();
   }
-  flow_rate_ = std::min(1.0, rate_ / mean_flow);
+  flow_rate_ = std::min(1.0, rate / mean_flow);
 }
 
 void TrafficInjector::reset_counters() {

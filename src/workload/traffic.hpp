@@ -50,8 +50,6 @@ class ParetoSampler {
   /// cannot exceed a sweep window.
   std::uint64_t sample_size(Rng& rng, std::uint64_t cap) const;
 
-  double alpha() const { return alpha_; }
-  double scale() const { return scale_; }
   /// Analytic mean α·x_m/(α − 1); finite by the constructor guard.
   double mean() const { return alpha_ * scale_ / (alpha_ - 1.0); }
 
@@ -97,17 +95,12 @@ class TrafficInjector final : public sim::Injector {
   /// Retunes the offered rate between windows (flow state and the RNG
   /// stream carry over — the closed probe loop keeps the system warm).
   void set_rate(double rate);
-  double rate() const { return rate_; }
 
   std::uint64_t offered() const { return offered_; }
   std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t blocked() const { return offered_ - admitted_; }
   /// Zeroes the offered/admitted counters at a window boundary.
   void reset_counters();
 
-  const TrafficConfig& config() const { return config_; }
-  /// kHotspot: the receiver set (ascending). Empty otherwise.
-  const std::vector<net::NodeId>& hotspot_nodes() const { return spots_; }
   /// Fixed-pattern destination of `src`; kInvalidNode when the pattern is
   /// randomized or `src` is a skipped diagonal node.
   net::NodeId fixed_dst(net::NodeId src) const;
@@ -118,7 +111,6 @@ class TrafficInjector final : public sim::Injector {
 
   const net::Network& net_;
   TrafficConfig config_;
-  double rate_ = 0;
   double flow_rate_ = 0;  ///< per-step flow-start probability per node
   Rng rng_;
   std::vector<net::NodeId> fixed_dst_;  ///< fixed patterns, else empty

@@ -73,7 +73,7 @@ class BlackHoleSystem final : public sim::LoadableSystem {
 
 TEST(Admission, StableVerdict) {
   sim::AdmissionController controller;
-  const double floor = controller.config().stable_fraction;
+  const double floor = sim::ProbeConfig{}.stable_fraction;
 
   sim::WindowMeasurement m;
   m.offered_rate = 0.0;
@@ -145,11 +145,11 @@ TEST(Admission, ConvergesOnKnownCapacity) {
     // The bracket closed to hi − lo ≤ tol·hi with hi just above capacity,
     // so lo lands within tolerance of the true edge.
     EXPECT_GE(result.saturation_rate,
-              capacity * (1.0 - controller.config().tolerance) * 0.999)
+              capacity * (1.0 - sim::ProbeConfig{}.tolerance) * 0.999)
         << "capacity " << capacity;
     EXPECT_DOUBLE_EQ(result.throughput_at_saturation, result.saturation_rate);
     EXPECT_EQ(result.windows, system.windows());
-    EXPECT_LE(result.windows, controller.config().max_windows);
+    EXPECT_LE(result.windows, sim::ProbeConfig{}.max_windows);
   }
 }
 
@@ -158,7 +158,7 @@ TEST(Admission, CeilingStableSystemConvergesToMaxRate) {
   sim::AdmissionController controller;
   const auto result = controller.probe(system);
   EXPECT_TRUE(result.converged);
-  EXPECT_DOUBLE_EQ(result.saturation_rate, controller.config().max_rate);
+  EXPECT_DOUBLE_EQ(result.saturation_rate, sim::ProbeConfig{}.max_rate);
 }
 
 TEST(Admission, BracketIsMonotoneAndConsistent) {
@@ -192,7 +192,7 @@ TEST(Admission, BlackHoleReportsNonConvergenceAndTerminates) {
   EXPECT_DOUBLE_EQ(result.throughput_at_saturation, 0.0);
   // Terminates via the dead-floor exit well before the hard cap: bisection
   // halves the bracket from initial_rate down to min_rate.
-  EXPECT_LT(result.windows, controller.config().max_windows);
+  EXPECT_LT(result.windows, sim::ProbeConfig{}.max_windows);
   EXPECT_EQ(result.windows, system.windows());
   for (const auto& step : result.trajectory) EXPECT_FALSE(step.stable);
 }

@@ -21,7 +21,7 @@ class DdimSweep
 TEST_P(DdimSweep, BoundAndGreedinessHold) {
   const auto [d, n, k] = GetParam();
   net::Mesh mesh(d, n);
-  if (k > mesh.num_arcs()) GTEST_SKIP() << "over origin capacity";
+  if (k > test::arc_count(mesh)) GTEST_SKIP() << "over origin capacity";
   Rng rng(static_cast<std::uint64_t>(d) * 100 + n + k);
   auto problem = workload::random_many_to_many(mesh, k, rng);
   routing::DdimPriorityPolicy policy;

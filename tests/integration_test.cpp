@@ -85,7 +85,7 @@ TEST_P(FullAudit, RestrictedPriorityPassesEveryPaperCheck) {
   EXPECT_EQ(potential.phi(), 0);
   // Conservation: every step's row counts match (advanced + deflected =
   // in-flight).
-  for (const auto& row : recorder.rows()) {
+  for (const auto& row : test::recorded_rows(recorder)) {
     EXPECT_EQ(row.advanced + row.deflected, row.in_flight);
   }
 }

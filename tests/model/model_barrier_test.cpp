@@ -33,8 +33,8 @@
 #include <sstream>
 #include <string>
 
-#include "util/model_checker.hpp"
-#include "util/model_sync.hpp"
+#include "model_checker.hpp"
+#include "model_sync.hpp"
 #include "util/phase_barrier.hpp"
 
 namespace {

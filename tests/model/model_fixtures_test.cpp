@@ -12,8 +12,8 @@
 #include <functional>
 #include <memory>
 
-#include "util/model_checker.hpp"
-#include "util/model_sync.hpp"
+#include "model_checker.hpp"
+#include "model_sync.hpp"
 
 namespace {
 

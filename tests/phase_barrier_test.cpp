@@ -107,8 +107,7 @@ TEST(PhaseBarrier, ManyEpochsRandomTaskCountsExactlyOnce) {
   StressPool pool(3);
   Rng rng(1234);
   for (int epoch = 0; epoch < 2000; ++epoch) {
-    const auto tasks = static_cast<std::uint32_t>(
-        rng.uniform_range(1, static_cast<std::int64_t>(kMaxTasks)));
+    const auto tasks = static_cast<std::uint32_t>(1 + rng.uniform(kMaxTasks));
     pool.run_epoch(tasks);
     pool.verify(tasks);
   }

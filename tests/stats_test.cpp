@@ -25,13 +25,16 @@ TEST(RunRecorder, OneRowPerStep) {
   engine.add_observer(&recorder);
   const auto result = engine.run();
   ASSERT_TRUE(result.completed);
-  ASSERT_EQ(recorder.rows().size(), 3u);
-  EXPECT_EQ(recorder.rows()[0].in_flight, 1);
-  EXPECT_EQ(recorder.rows()[0].advanced, 1);
-  EXPECT_EQ(recorder.rows()[0].deflected, 0);
-  EXPECT_EQ(recorder.rows()[0].total_distance, 3);
-  EXPECT_EQ(recorder.rows()[2].arrived, 1);
-  EXPECT_EQ(recorder.rows()[2].total_distance, 1);
+  const auto rows = test::recorded_rows(recorder);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].step, 0u);
+  EXPECT_EQ(rows[0].in_flight, 1);
+  EXPECT_EQ(rows[0].advanced, 1);
+  EXPECT_EQ(rows[0].deflected, 0);
+  EXPECT_EQ(rows[0].total_distance, 3);
+  EXPECT_EQ(rows[2].step, 2u);
+  EXPECT_EQ(rows[2].arrived, 1);
+  EXPECT_EQ(rows[2].total_distance, 1);
 }
 
 TEST(RunRecorder, CsvHasHeaderAndAllRows) {
@@ -42,12 +45,12 @@ TEST(RunRecorder, CsvHasHeaderAndAllRows) {
   sim::Engine engine(mesh, problem, policy);
   RunRecorder recorder;
   engine.add_observer(&recorder);
-  engine.run();
+  const auto result = engine.run();
   std::ostringstream out;
   recorder.write_csv(out);
   const std::string csv = out.str();
   const auto lines = std::count(csv.begin(), csv.end(), '\n');
-  EXPECT_EQ(static_cast<std::size_t>(lines), recorder.rows().size() + 1);
+  EXPECT_EQ(static_cast<std::uint64_t>(lines), result.steps_executed + 1);
   EXPECT_EQ(csv.substr(0, 4), "step");
 }
 

@@ -4,11 +4,14 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/checkers.hpp"
 #include "routing/restricted_priority.hpp"
 #include "sim/engine.hpp"
+#include "stats/recorder.hpp"
 #include "topology/mesh.hpp"
 #include "workload/workload.hpp"
 
@@ -27,6 +30,36 @@ inline workload::Problem make_problem(
   p.name = "test";
   p.packets = std::move(specs);
   return p;
+}
+
+/// Directed arc count Σ_v degree(v): the origin capacity of a network.
+inline std::size_t arc_count(const net::Network& net) {
+  std::size_t arcs = 0;
+  for (net::NodeId v = 0; v < static_cast<net::NodeId>(net.num_nodes()); ++v) {
+    arcs += static_cast<std::size_t>(net.degree(v));
+  }
+  return arcs;
+}
+
+/// The recorder's per-step rows, read back from its CSV export.
+inline std::vector<stats::RunRecorder::StepRow> recorded_rows(
+    const stats::RunRecorder& recorder) {
+  std::ostringstream csv;
+  recorder.write_csv(csv);
+  std::istringstream in(csv.str());
+  std::string line;
+  std::getline(in, line);  // header
+  std::vector<stats::RunRecorder::StepRow> rows;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    stats::RunRecorder::StepRow r;
+    char comma = 0;
+    fields >> r.step >> comma >> r.in_flight >> comma >> r.advanced >>
+        comma >> r.deflected >> comma >> r.arrived >> comma >>
+        r.total_distance;
+    rows.push_back(r);
+  }
+  return rows;
 }
 
 /// Lowest direction in a nonempty direction mask.

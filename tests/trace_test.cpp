@@ -1,4 +1,4 @@
-// Trace recording and ASCII rendering tests (plus Engine::packets_at).
+// Trace recording and ASCII rendering tests (plus injection placement).
 #include <gtest/gtest.h>
 
 #include "routing/restricted_priority.hpp"
@@ -56,9 +56,17 @@ TEST(Engine, PacketsAtReportsResidents) {
   auto problem = make_problem({{a, 0}, {a, 35}, {5, 30}});
   routing::RestrictedPriorityPolicy policy;
   Engine engine(mesh, problem, policy);
-  const auto at_a = engine.packets_at(a);
-  EXPECT_EQ(at_a.size(), 2u);
-  EXPECT_EQ(engine.packets_at(17).size(), 0u);
+  const auto residents = [&](net::NodeId node) {
+    std::size_t count = 0;
+    const FlightTable& flight = engine.flight();
+    for (FlightTable::Slot s = 0; s < flight.end_slot(); ++s) {
+      count += flight.pos(s) == node ? 1 : 0;
+    }
+    return count;
+  };
+  EXPECT_EQ(residents(a), 2u);
+  EXPECT_EQ(residents(5), 1u);
+  EXPECT_EQ(residents(17), 0u);
 }
 
 }  // namespace

@@ -55,20 +55,6 @@ TEST(Rng, UniformIsRoughlyUniform) {
   }
 }
 
-TEST(Rng, UniformRangeInclusive) {
-  Rng rng(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.uniform_range(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, RealInUnitInterval) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) {
@@ -94,16 +80,6 @@ TEST(Rng, ShuffleActuallyPermutes) {
   const auto original = v;
   rng.shuffle(std::span<int>(v));
   EXPECT_NE(v, original);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(11);
-  Rng b = a.split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.next_u64() == b.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
 }
 
 TEST(InlineVector, StartsEmpty) {
@@ -136,16 +112,6 @@ TEST(InlineVector, OutOfRangeIndexThrows) {
   InlineVector<int, 4> v{1};
   EXPECT_THROW(v[1], CheckError);
   EXPECT_THROW((InlineVector<int, 4>{}.pop_back()), CheckError);
-}
-
-TEST(InlineVector, EraseAtPreservesOrder) {
-  InlineVector<int, 8> v{1, 2, 3, 4, 5};
-  v.erase_at(1);
-  EXPECT_EQ(v, (InlineVector<int, 8>{1, 3, 4, 5}));
-  v.erase_at(0);
-  EXPECT_EQ(v, (InlineVector<int, 8>{3, 4, 5}));
-  v.erase_at(2);
-  EXPECT_EQ(v, (InlineVector<int, 8>{3, 4}));
 }
 
 TEST(InlineVector, CopyAndMove) {
@@ -211,7 +177,7 @@ TEST(InlineVector, AlignedPushPopAcrossCapacityBoundary) {
   InlineVector<std::uint32_t, 4, 64> v;
   for (std::uint32_t round = 0; round < 3; ++round) {
     for (std::uint32_t i = 0; i < 4; ++i) v.push_back(round * 10 + i);
-    EXPECT_TRUE(v.full());
+    EXPECT_EQ(v.size(), v.capacity());
     EXPECT_THROW(v.push_back(99), CheckError);  // overflow stays checked
     EXPECT_EQ(v.size(), 4u);                    // failed push is a no-op
     for (std::uint32_t i = 4; i-- > 0;) {
@@ -230,14 +196,15 @@ TEST(RunningStat, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
+  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStat, EmptyIsZero) {
   RunningStat s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.min(), 0.0);
+  EXPECT_EQ(s.max(), 0.0);
 }
 
 TEST(Samples, PercentilesAndExtremes) {
@@ -266,16 +233,6 @@ TEST(Histogram, BinningAndClamping) {
   EXPECT_EQ(h.bin_count(0), 2u);
   EXPECT_EQ(h.bin_count(9), 2u);
   EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(9), 10.0);
-}
-
-TEST(Histogram, AsciiRendersNonemptyBins) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 TEST(Csv, WritesHeaderAndRows) {
