@@ -10,12 +10,15 @@
 //   hpsim --topology hypercube --dim 8 --workload random --k 256
 //         --policy id-priority
 //   hpsim --topology mesh --n 16 --workload hotspot --k 200 --csv
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "core/bounds.hpp"
@@ -227,6 +230,25 @@ std::unique_ptr<hp::sim::RoutingPolicy> make_policy(
   throw hp::CheckError("unknown policy: " + opt.policy);
 }
 
+/// Parses all of `text` as a number in [lo, hi]. A suffix ("16x"), a
+/// fraction for an integer flag ("2.5"), NaN, infinity and out-of-range
+/// values throw CheckError (exit 2) instead of being truncated or ignored.
+template <typename T>
+T number(const std::string& flag, const std::string& text,
+         T lo = std::numeric_limits<T>::lowest(),
+         T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, err] = std::from_chars(text.data(), end, v);
+  if (err != std::errc() || stop != end || !(v >= lo && v <= hi)) {
+    std::ostringstream os;
+    os << flag << " needs a number in [" << lo << ", " << hi << "], got '"
+       << text << "'";
+    throw hp::CheckError(os.str());
+  }
+  return v;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -237,25 +259,25 @@ bool parse(int argc, char** argv, Options& opt) {
     if (arg == "--topology") {
       opt.topology = value();
     } else if (arg == "--dim") {
-      opt.dim = std::stoi(value());
+      opt.dim = number(arg, value(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--n") {
-      opt.n = std::stoi(value());
+      opt.n = number(arg, value(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--workload") {
       opt.workload = value();
     } else if (arg == "--k") {
-      opt.k = static_cast<std::size_t>(std::stoull(value()));
+      opt.k = number<std::size_t>(arg, value());
     } else if (arg == "--policy") {
       opt.policy = value();
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value());
+      opt.seed = number<std::uint64_t>(arg, value());
     } else if (arg == "--max-steps") {
-      opt.max_steps = std::stoull(value());
+      opt.max_steps = number<std::uint64_t>(arg, value());
     } else if (arg == "--inject") {
-      opt.inject_rate = std::stod(value());
+      opt.inject_rate = number(arg, value(), 0.0, 1.0);
     } else if (arg == "--inject-steps") {
-      opt.inject_steps = std::stoull(value());
+      opt.inject_steps = number<std::uint64_t>(arg, value());
     } else if (arg == "--threads") {
-      opt.threads = std::stoi(value());
+      opt.threads = number(arg, value(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--save") {
       opt.save_path = value();
     } else if (arg == "--load") {
@@ -275,7 +297,7 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--checkpoint") {
       opt.checkpoint_path = value();
     } else if (arg == "--checkpoint-at") {
-      opt.checkpoint_at = std::stoull(value());
+      opt.checkpoint_at = number<std::uint64_t>(arg, value());
     } else if (arg == "--restore") {
       opt.restore_path = value();
     } else if (arg == "--fingerprint") {

@@ -74,8 +74,8 @@ class CheckpointIO {
     e.total_deflections_ = r.u64();
     e.total_advances_ = r.u64();
     e.livelocked_ = r.u8() != 0;
-    e.flight_.deserialize(r);
-    e.archive_.deserialize(r);
+    e.flight_.deserialize(r, e.next_id_);
+    e.archive_.deserialize(r, e.next_id_);
     e.livelock_.deserialize(r);
     r.verify_digest_trailer();
   }

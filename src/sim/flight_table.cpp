@@ -161,15 +161,15 @@ void FlightTable::serialize(util::BinWriter& out) const {
   }
 }
 
-void FlightTable::deserialize(util::BinReader& in) {
+void FlightTable::deserialize(util::BinReader& in, std::uint64_t next_id) {
   HP_REQUIRE(empty() && id_base_ == 0 && locator_.empty(),
              "deserialize needs a fresh, empty FlightTable");
   const std::uint64_t id_base = in.u64();
   const std::uint64_t window = in.u64();
   const std::uint64_t head = in.u64();
   const std::uint64_t count = in.u64();
-  HP_REQUIRE(id_base + window <= kU32Max + 1 && head <= window &&
-                 count <= window,
+  HP_REQUIRE(id_base <= next_id && window == next_id - id_base &&
+                 next_id <= kU32Max + 1 && head <= window && count <= window,
              "checkpoint is corrupt (inconsistent FlightTable window)");
   reset_window(id_base, window);
   head_ = static_cast<std::size_t>(head);
@@ -263,7 +263,7 @@ void ArrivalLog::serialize(util::BinWriter& out) const {
   for (const Packet& p : records_) write_packet_record(out, p);
 }
 
-void ArrivalLog::deserialize(util::BinReader& in) {
+void ArrivalLog::deserialize(util::BinReader& in, std::uint64_t next_id) {
   HP_REQUIRE(count_ == 0, "ArrivalLog::deserialize needs a fresh log");
   const bool kept = in.u8() != 0;
   HP_REQUIRE(kept == keep_,
@@ -279,7 +279,14 @@ void ArrivalLog::deserialize(util::BinReader& in) {
   const std::uint64_t n = in.u64();
   HP_REQUIRE(n == count,
              "checkpoint is corrupt (arrival record count mismatch)");
-  for (std::uint64_t i = 0; i < n; ++i) append(read_packet_record(in));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Packet p = read_packet_record(in);
+    HP_REQUIRE(static_cast<std::uint32_t>(p.id) < next_id,
+               "checkpoint is corrupt (archived packet id " +
+                   std::to_string(static_cast<std::uint32_t>(p.id)) +
+                   " was never issued)");
+    append(p);
+  }
   HP_REQUIRE(count_ == count,
              "checkpoint is corrupt (arrival records do not replay)");
 }

@@ -91,8 +91,9 @@ void LivelockDetector::serialize(util::BinWriter& w) const {
 void LivelockDetector::deserialize(util::BinReader& r) {
   HP_REQUIRE(seen_.empty(),
              "LivelockDetector::deserialize needs a fresh detector");
+  // No reserve(n): a corrupt count must end in the reader's truncation
+  // error, not in one huge allocation.
   const std::uint64_t n = r.u64();
-  seen_.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t lo = r.u64();
     Entry e;

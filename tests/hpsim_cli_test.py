@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""CLI tests for hpsim's observability flags.
+"""CLI tests for hpsim's flags and run modes.
 
-Covers what the C++ suites cannot: flag parsing, the output-file round
-trip (the emitted metrics/trace files parse as JSON and carry the schema
-the docs promise), rejection of conflicting flags, and byte-identical
-artifacts across --threads values.
+Covers what the C++ suites cannot: flag parsing (numeric values included),
+the output-file round trip (the emitted metrics/trace files parse as JSON
+and carry the schema the docs promise), rejection of conflicting flags,
+byte-identical artifacts across --threads values, and restores of
+corrupted checkpoint files.
 
 Usage: hpsim_cli_test.py /path/to/hpsim
 """
 
 import json
 import pathlib
+import resource
+import struct
 import subprocess
 import sys
 import tempfile
@@ -158,6 +161,21 @@ def test_missing_values(hpsim):
         proc = run(hpsim, flag)
         check(f"{flag} without value exits 2", proc.returncode == 2,
               f"exit={proc.returncode}")
+    # Numeric flags take the whole token, finite and in range, or exit 2:
+    # no uncaught std::invalid_argument/out_of_range (exit 134), no silent
+    # truncation ("16x" as 16), no rate silently falling back to batch mode.
+    for flag, value in (
+        ("--n", "abc"), ("--checkpoint-at", "abc"),
+        ("--seed", "99999999999999999999999"), ("--n", "16x"),
+        ("--threads", "2.5"), ("--inject", "-0.5"), ("--inject", "nan"),
+        ("--inject", "inf"), ("--k", "-1"), ("--max-steps", "1e3"),
+        ("--inject-steps", ""),
+    ):
+        proc = run(hpsim, flag, value, "--max-steps", "1")
+        check(f"{flag} {value!r} exits 2", proc.returncode == 2,
+              f"exit={proc.returncode}")
+        check(f"{flag} {value!r} error names the flag", flag in proc.stderr,
+              proc.stderr)
 
 
 def probe_args(*extra):
@@ -385,6 +403,55 @@ def test_restore_mismatch_rejected(hpsim, tmp):
     check("truncation error is clear", "truncat" in cut.stderr)
 
 
+def run_capped(hpsim, *args):
+    """run() under a 2 GiB address-space cap, so a decoder that tries to
+    allocate gigabytes fails fast instead of paging. ASan reserves far
+    more virtual memory than that, so sanitized binaries run uncapped."""
+    sanitized = b"__asan_init" in pathlib.Path(hpsim).read_bytes()
+
+    def cap():
+        limit = 2 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [hpsim, *args], capture_output=True, text=True, timeout=300,
+        preexec_fn=None if sanitized else cap,
+    )
+
+
+def test_checkpoint_bit_flips(hpsim, tmp):
+    # A single flipped bit in a size-like field must fail as a corrupt
+    # checkpoint (exit 2), not abort in std::bad_alloc (exit 134).
+    ckpt = tmp / "flip.ckpt"
+    base = ["--topology", "mesh", "--n", "8", "--seed", "3"]
+    written = run(hpsim, *base, "--checkpoint", str(ckpt),
+                  "--checkpoint-at", "3")
+    check("checkpoint for bit-flip test exits 0", written.returncode == 0,
+          written.stderr)
+    data = ckpt.read_bytes()
+    # Header: magic, version, network name, nodes, dirs, policy name, seed.
+    at = 8
+    at += 4 + struct.unpack_from("<I", data, at)[0] + 8 + 4
+    at += 4 + struct.unpack_from("<I", data, at)[0] + 8
+    flight = at + 6 * 8 + 1  # past the counters
+    in_flight = struct.unpack_from("<Q", data, flight + 24)[0]
+    archive = flight + 4 * 8 + in_flight * 39
+    check("bit-flip scenario archived a packet",
+          struct.unpack_from("<Q", data, archive + 1)[0] > 0)
+    first_id = archive + 1 + 8 + 8
+    for name, offset, bit in (("FlightTable window bit 31", flight + 8, 31),
+                              ("first archived id bit 30", first_id, 30)):
+        bad = bytearray(data)
+        bad[offset + bit // 8] ^= 1 << (bit % 8)
+        path = tmp / "flipped.ckpt"
+        path.write_bytes(bytes(bad))
+        proc = run_capped(hpsim, *base, "--restore", str(path))
+        check(f"{name} flip exits 2", proc.returncode == 2,
+              f"exit={proc.returncode} {proc.stderr.strip()[-200:]}")
+        check(f"{name} flip reports corruption", "corrupt" in proc.stderr,
+              proc.stderr)
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: hpsim_cli_test.py /path/to/hpsim", file=sys.stderr)
@@ -406,6 +473,7 @@ def main():
         test_checkpoint_roundtrip(hpsim, tmp)
         test_checkpoint_conflicts(hpsim, tmp)
         test_restore_mismatch_rejected(hpsim, tmp)
+        test_checkpoint_bit_flips(hpsim, tmp)
     if FAILURES:
         print(f"{len(FAILURES)} failure(s): {', '.join(FAILURES)}")
         return 1
