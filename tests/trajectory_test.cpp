@@ -15,6 +15,12 @@
 // On the 64-node networks the engine routes inline (it shards route only
 // from 128 occupied nodes up), so the 16×16 mesh rows are the ones where
 // the 4-thread run really splits routing across workers.
+//
+// The pins were taken from the engine itself. The naive §2 model in
+// reference_engine.hpp explains them independently: its own records must
+// hash to every pinned digest, and the engine must match it record for
+// record at 1, 2, 4 and 8 threads, on these rows and on a 48×48 mesh that
+// crosses every parallel cutoff.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,6 +37,7 @@
 #include "routing/single_target.hpp"
 #include "sim/engine.hpp"
 #include "sim/injection.hpp"
+#include "reference_engine.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
@@ -49,6 +56,10 @@ class TrajectoryHasher : public sim::StepObserver {
  public:
   void on_step(const sim::Engine& /*engine*/,
                const sim::StepRecord& r) override {
+    add(r);
+  }
+
+  void add(const sim::StepRecord& r) {
     mix(r.step);
     mix(r.assignments.size());
     for (const sim::Assignment& a : r.assignments) {
@@ -172,17 +183,23 @@ struct Outcome {
   std::uint64_t arrivals;
 };
 
+/// The row's batch problem; empty for continuous injection.
+workload::Problem row_problem(const Row& row, const net::Network& network) {
+  Rng rng(11);
+  if (std::string(row.workload) == "perm") {
+    return workload::random_permutation(network, rng);
+  }
+  if (std::string(row.workload) == "sat") {
+    return workload::saturated_random(network, 4, rng);
+  }
+  return {};
+}
+
 Outcome run_row(const Row& row, int num_threads) {
   const auto network = make_topology(row.topology);
   const auto policy = make_policy(row.policy, *network);
   const bool inject = std::string(row.workload) == "inject";
-  workload::Problem problem;
-  Rng rng(11);
-  if (std::string(row.workload) == "perm") {
-    problem = workload::random_permutation(*network, rng);
-  } else if (std::string(row.workload) == "sat") {
-    problem = workload::saturated_random(*network, 4, rng);
-  }
+  const workload::Problem problem = row_problem(row, *network);
   sim::EngineConfig config;
   config.seed = 23;
   config.num_threads = num_threads;
@@ -324,6 +341,156 @@ TEST_P(Trajectory, DigestIsPinnedAtOneAndFourThreads) {
         << "threads=" << threads << " pin: {\"" << row.policy << "\", \""
         << row.topology << "\", \"" << row.workload << "\", 0x" << std::hex
         << got.digest << "ULL},";
+  }
+}
+
+// --- reference-model oracle (reference_engine.hpp) ------------------------
+
+/// Copies the record of the engine's last step.
+class StepCapture : public sim::StepObserver {
+ public:
+  void on_step(const sim::Engine& /*engine*/,
+               const sim::StepRecord& r) override {
+    last.step = r.step;
+    last.assignments.assign(r.assignments.begin(), r.assignments.end());
+    last.arrivals.assign(r.arrivals.begin(), r.arrivals.end());
+    last.in_flight_after = r.in_flight_after;
+  }
+
+  test::ReferenceEngine::Step last;
+};
+
+bool same(const sim::Assignment& a, const sim::Assignment& b) {
+  return a.pkt == b.pkt && a.node == b.node && a.good_mask == b.good_mask &&
+         a.out == b.out && a.prev_advanced == b.prev_advanced &&
+         a.prev_num_good == b.prev_num_good;
+}
+
+bool same(const sim::Packet& a, const sim::Packet& b) {
+  return a.id == b.id && a.src == b.src && a.dst == b.dst && a.pos == b.pos &&
+         a.last_move_dir == b.last_move_dir &&
+         a.prev_advanced == b.prev_advanced &&
+         a.prev_num_good == b.prev_num_good && a.injected_at == b.injected_at &&
+         a.arrived_at == b.arrived_at && a.deflections == b.deflections &&
+         a.initial_distance == b.initial_distance;
+}
+
+/// The first difference between two step records, or "" if none.
+std::string first_difference(const test::ReferenceEngine::Step& want,
+                             const test::ReferenceEngine::Step& got) {
+  if (want.step != got.step) return "step clock";
+  if (want.assignments.size() != got.assignments.size()) {
+    return "assignment count";
+  }
+  for (std::size_t i = 0; i < want.assignments.size(); ++i) {
+    if (!same(want.assignments[i], got.assignments[i])) {
+      return "assignment " + std::to_string(i) + " (packet " +
+             std::to_string(want.assignments[i].pkt) + ")";
+    }
+  }
+  if (want.arrivals.size() != got.arrivals.size()) return "arrival count";
+  for (std::size_t i = 0; i < want.arrivals.size(); ++i) {
+    if (!same(want.arrivals[i], got.arrivals[i])) {
+      return "arrival " + std::to_string(i) + " (packet " +
+             std::to_string(want.arrivals[i].id) + ")";
+    }
+  }
+  if (want.in_flight_after != got.in_flight_after) return "in-flight count";
+  return "";
+}
+
+sim::StepRecord as_record(const test::ReferenceEngine::Step& s) {
+  sim::StepRecord r;
+  r.step = s.step;
+  r.assignments = s.assignments;
+  r.arrivals = s.arrivals;
+  r.in_flight_after = s.in_flight_after;
+  return r;
+}
+
+/// Runs the engine and the reference model side by side for `steps` steps
+/// (Bernoulli arrivals at `rate` when rate > 0) and fails on the first
+/// step whose records differ. Returns the injections both refused.
+std::uint64_t expect_lockstep(const net::Network& network, const char* policy,
+                              const workload::Problem& problem, double rate,
+                              std::uint64_t steps, int threads) {
+  SCOPED_TRACE(std::string(policy) + " on " + network.name() + ", threads " +
+               std::to_string(threads));
+  const auto engine_policy = make_policy(policy, network);
+  const auto model_policy = make_policy(policy, network);
+  sim::EngineConfig config;
+  config.seed = 23;
+  config.num_threads = threads;
+  config.detect_livelock = false;
+  sim::Engine engine(network, problem, *engine_policy, config);
+  test::ReferenceEngine model(network, problem, *model_policy, config.seed);
+  sim::BernoulliInjector injector(rate, 31);
+  if (rate > 0) {
+    engine.set_injector(&injector);
+    model.set_injection(rate, 31);
+  }
+  StepCapture got;
+  engine.add_observer(&got);
+  test::ReferenceEngine::Step want;
+  while (engine.now() < steps) {
+    const bool stepped = engine.step();
+    EXPECT_EQ(model.step(want), stepped);
+    if (!stepped) break;
+    const std::string diff = first_difference(want, got.last);
+    if (!diff.empty()) {
+      ADD_FAILURE() << "engine and reference model differ at step "
+                    << want.step << ": " << diff;
+      break;
+    }
+  }
+  EXPECT_EQ(model.refused(), injector.offered() - injector.admitted());
+  return model.refused();
+}
+
+TEST_P(Trajectory, ReferenceModelReproducesThePin) {
+  const Row& row = GetParam();
+  const auto network = make_topology(row.topology);
+  const auto policy = make_policy(row.policy, *network);
+  const bool inject = std::string(row.workload) == "inject";
+  test::ReferenceEngine model(*network, row_problem(row, *network), *policy,
+                              23);
+  if (inject) model.set_injection(kInjectRate, 31);
+  TrajectoryHasher hasher;
+  test::ReferenceEngine::Step step;
+  const std::uint64_t cap = inject ? kInjectSteps : kBatchSteps;
+  while (model.now() < cap && model.step(step)) hasher.add(as_record(step));
+  EXPECT_EQ(hasher.digest(), row.digest);
+}
+
+TEST_P(Trajectory, EngineMatchesReferenceModelStepByStep) {
+  const Row& row = GetParam();
+  const auto network = make_topology(row.topology);
+  const bool inject = std::string(row.workload) == "inject";
+  for (const int threads : {1, 2, 4, 8}) {
+    expect_lockstep(*network, row.policy, row_problem(row, *network),
+                    inject ? kInjectRate : 0.0,
+                    inject ? kInjectSteps : kBatchSteps, threads);
+  }
+}
+
+TEST(ReferenceModel, RefusedInjectionsAgreeAtRateNinetyPercent) {
+  // At rate 0.9 on the 8×8 mesh nodes fill to their degree, so the
+  // capacity rule refuses arrivals; both sides must refuse the same ones.
+  net::Mesh mesh(2, 8);
+  for (const int threads : {1, 2, 4, 8}) {
+    EXPECT_GT(expect_lockstep(mesh, "restricted", {}, 0.9, 60, threads), 0u);
+  }
+}
+
+TEST(ReferenceModel, ShardedOccupancyAgrees) {
+  // 2304 nodes make nine occupancy owners, and ~9000 saturated packets
+  // cross every parallel cutoff: sharded scan/bucket, route and move.
+  net::Mesh mesh(2, 48);
+  Rng rng(5);
+  const workload::Problem saturated = workload::saturated_random(mesh, 4, rng);
+  for (const int threads : {1, 2, 4, 8}) {
+    expect_lockstep(mesh, "greedy-random", saturated, 0.0, 25, threads);
+    expect_lockstep(mesh, "restricted", {}, 0.3, 25, threads);
   }
 }
 
