@@ -18,13 +18,8 @@ namespace hp {
 /// A contiguous sequence with capacity fixed at compile time and size
 /// tracked at run time. Supports trivially-destructible and nontrivial T.
 /// Exceeding capacity is a checked error (throws hp::CheckError).
-/// `Align` raises the storage alignment above T's natural one — the engine
-/// aligns per-node buckets to cache lines so adjacent nodes written by
-/// different shards never share a line.
-template <typename T, std::size_t N, std::size_t Align = alignof(T)>
+template <typename T, std::size_t N>
 class InlineVector {
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0,
-                "Align must be a power of two no weaker than alignof(T)");
  public:
   using value_type = T;
   using iterator = T*;
@@ -124,7 +119,7 @@ class InlineVector {
   }
 
  private:
-  alignas(Align) std::array<std::byte, sizeof(T) * N> storage_;
+  alignas(T) std::array<std::byte, sizeof(T) * N> storage_;
   std::size_t size_ = 0;
 };
 

@@ -12,6 +12,7 @@
 #include "routing/restricted_priority.hpp"
 #include "sim/engine.hpp"
 #include "sim/flight_table.hpp"
+#include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
 #include "workload/generators.hpp"
@@ -50,6 +51,47 @@ TEST(FlightTableFootprint, EngineKeepsNoPerNodeTopologyState) {
   const auto stats = engine.memory_stats();
   EXPECT_EQ(stats.topology_bytes, 0u);
   EXPECT_GT(stats.flight_bytes, 0u);
+}
+
+/// Counts the distinct nodes routed in each step; keeps the last count.
+class RoutedNodes : public sim::StepObserver {
+ public:
+  void on_step(const sim::Engine& /*engine*/,
+               const sim::StepRecord& r) override {
+    last = 0;
+    const auto& a = r.assignments;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (i == 0 || a[i].node != a[i - 1].node) ++last;
+    }
+  }
+  std::size_t last = 0;
+};
+
+TEST(FlightTableFootprint, OccupancyIsOneRowOfDirectionCountIdsPerNode) {
+  // Each node owns num_dirs() id slots (4 B each) and a 1-B count; the
+  // rest of occupancy_bytes is the occupied-node list, one 4-B id per
+  // routed node up to its vector's spare capacity.
+  net::Mesh mesh(2, 16);
+  net::Hypercube cube(6);
+  for (const net::Network* net : {static_cast<const net::Network*>(&mesh),
+                                  static_cast<const net::Network*>(&cube)}) {
+    SCOPED_TRACE(net->name());
+    Rng rng(3);
+    auto problem = workload::saturated_random(*net, 4, rng);
+    routing::RestrictedPriorityPolicy policy;
+    sim::Engine engine(*net, problem, policy);
+    const std::size_t rows =
+        net->num_nodes() * (4 * static_cast<std::size_t>(net->num_dirs()) + 1);
+    EXPECT_EQ(engine.memory_stats().occupancy_bytes, rows);
+
+    RoutedNodes routed;
+    engine.add_observer(&routed);
+    engine.step();
+    const std::size_t list = engine.memory_stats().occupancy_bytes - rows;
+    EXPECT_EQ(list % sizeof(net::NodeId), 0u);
+    EXPECT_GE(list, routed.last * sizeof(net::NodeId));
+    EXPECT_LT(list, 2 * net->num_nodes() * sizeof(net::NodeId));
+  }
 }
 
 // --- overflow boundaries ----------------------------------------------------
