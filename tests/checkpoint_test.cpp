@@ -448,6 +448,120 @@ TEST(CheckpointFailure, SingleBitFlipsFailBeforeAllocating) {
   }
 }
 
+std::int32_t read_i32(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= std::uint32_t{static_cast<std::uint8_t>(bytes[at + i])} << (8 * i);
+  }
+  return static_cast<std::int32_t>(v);
+}
+
+void write_i32(std::string& bytes, std::size_t at, std::int32_t v) {
+  const auto u = static_cast<std::uint32_t>(v);
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>((u >> (8 * i)) & 0xff);
+  }
+}
+
+/// Offsets of in-flight record `r` in a scenario checkpoint of `mesh`.
+struct FlightRecord {
+  std::size_t src, dst, pos, entry_dir;
+};
+
+FlightRecord flight_record(const net::Mesh& mesh, const std::string& bytes,
+                           std::size_t r) {
+  RestrictedPriorityPolicy policy;
+  auto problem = restored_problem();
+  sim::Engine probe(mesh, problem, policy, scenario_config(1));
+  const std::size_t flight = counters_offset(probe, policy) + kCountersBytes;
+  EXPECT_LT(r, read_u64(bytes, flight + 24)) << "too few packets in flight";
+  const std::size_t at = flight + kFlightHeaderBytes + r * kFlightRecordBytes;
+  return FlightRecord{at + 4, at + 8, at + 12, at + 16};
+}
+
+TEST(CheckpointFailure, OutOfRangePacketFieldsAreRejected) {
+  // The digest trailer is a checksum, not a seal: a resealed checkpoint
+  // whose packet names a node or arc outside the network must still fail
+  // in restore, before any step indexes with it.
+  net::Mesh mesh(2, 8);
+  const std::string bytes = scenario_checkpoint(mesh);
+  const FlightRecord rec = flight_record(mesh, bytes, 0);
+  const std::int32_t nodes = 64;
+  const struct {
+    const char* field;
+    std::size_t at;
+    std::int32_t value;
+  } mutations[] = {
+      {"src = num_nodes", rec.src, nodes},
+      {"src = -1", rec.src, -1},
+      {"dst = num_nodes", rec.dst, nodes},
+      {"dst = -1", rec.dst, -1},
+      {"pos = num_nodes", rec.pos, nodes},
+      {"pos = -1", rec.pos, -1},
+      {"pos = 2^31 - 1", rec.pos, 0x7fffffff},
+      {"pos = dst", rec.pos, read_i32(bytes, rec.dst)},
+  };
+  for (const auto& m : mutations) {
+    SCOPED_TRACE(m.field);
+    std::string bad = bytes;
+    write_i32(bad, m.at, m.value);
+    reseal(bad);
+    expect_restore_fails(mesh, bad);
+  }
+  for (const int dir : {4, 127, -2, -128}) {
+    SCOPED_TRACE("entry_dir = " + std::to_string(dir));
+    std::string bad = bytes;
+    bad[rec.entry_dir] = static_cast<char>(dir);
+    reseal(bad);
+    expect_restore_fails(mesh, bad);
+  }
+}
+
+TEST(CheckpointFailure, MorePacketsThanArcsAtOneNodeFailTheNextStep) {
+  // degree + 1 packets stacked on one node restore (each is individually
+  // valid) but break the model's capacity rule: the next step must throw
+  // at the occupancy row bound (interior node, 5 > 4 slots) or at
+  // route_node's degree check (corner node, 3 > 2 arcs), never write past
+  // the node's row.
+  net::Mesh mesh(2, 8);
+  const std::string bytes = scenario_checkpoint(mesh);
+  const struct {
+    net::NodeId node;
+    const char* check;  ///< the failing check's message
+  } cases[] = {
+      {mesh.node_at(xy(3, 3)), "occupancy row is full"},
+      {mesh.node_at(xy(0, 0)), "more packets at a node than its degree"},
+  };
+  for (const auto& [node, check] : cases) {
+    const int stack = mesh.degree(node) + 1;
+    std::string bad = bytes;
+    int stacked = 0;
+    for (std::size_t r = 0; stacked < stack; ++r) {
+      const FlightRecord rec = flight_record(mesh, bytes, r);
+      if (read_i32(bytes, rec.dst) == node) continue;
+      write_i32(bad, rec.pos, node);
+      ++stacked;
+    }
+    reseal(bad);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("node " + std::to_string(node) + ", threads " +
+                   std::to_string(threads));
+      auto problem = restored_problem();
+      RestrictedPriorityPolicy policy;
+      sim::Engine engine(mesh, problem, policy, scenario_config(threads));
+      std::istringstream source(bad);
+      sim::restore_checkpoint(engine, source);
+      try {
+        engine.step();
+        ADD_FAILURE() << "the step accepted " << stack << " packets";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(check), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(IdHorizon, ContinuousRunStopsAtTheLastId) {
   // A checkpoint patched to next_id = id_base = 2^32 − 4 restores into an
   // engine four ids short of the horizon. A saturating injector then
