@@ -334,16 +334,19 @@ class FileLinter:
     POINTER_TO_INT = re.compile(
         r"(?:reinterpret|static)_cast\s*<\s*(?:std::)?u?intptr_t\s*>"
     )
+    #: A `static` declaration opening a line, or following a `{` or `;`
+    #: on it (`int f() { static int n = 0; ... }`); group 1 is the
+    #: declaration from the keyword on.
     STATIC_LOCAL = re.compile(
-        r"^\s+static\s+(?!const\b|constexpr\b|consteval\b|constinit\b|"
-        r"assert\b|_assert)"
+        r"(?:^\s+|[{;]\s*)(static\s+(?!const\b|constexpr\b|consteval\b|"
+        r"constinit\b|assert\b|_assert).*)"
     )
     #: A static member *function* (`static void relax() { ... }`) is not a
-    #: function-local static; exempt declarator-shaped lines, including the
-    #: zero-argument form that the `(`-in-declarator check below misses
-    #: (it strips `()` to ignore call parens in initializers).
+    #: function-local static; exempt declarator-shaped declarations,
+    #: including the zero-argument form that the `(`-in-declarator check
+    #: below misses (it strips `()` to ignore call parens in initializers).
     STATIC_FN = re.compile(
-        r"^\s+static\s+[\w:<>,&*\s]+\b\w+\s*\([^()]*\)\s*"
+        r"static\s+[\w:<>,&*\s]+\b\w+\s*\([^()]*\)\s*"
         r"(?:const\s*)?(?:noexcept\s*)?[;{]"
     )
     SPAN_MEMBER = re.compile(
@@ -503,10 +506,12 @@ class FileLinter:
                     or self.POINTER_TO_INT.search(line)
                 ):
                     self.flag(idx, "pointer-order", line.strip()[:80])
+                static = self.STATIC_LOCAL.search(line)
+                decl = static.group(1) if static else ""
                 if (
-                    self.STATIC_LOCAL.search(line)
-                    and not self.STATIC_FN.search(line)
-                    and "(" not in line.split("=")[0].split(";")[0].replace("()", "")
+                    static
+                    and not self.STATIC_FN.match(decl)
+                    and "(" not in decl.split("=")[0].split(";")[0].replace("()", "")
                 ):
                     self.flag(idx, "static-local", line.strip()[:80])
             if raw_random and self.RAW_RANDOM.search(line):

@@ -28,7 +28,7 @@ EXPECTED = {
     },
     "bad_rand.cpp": {"raw-random": 3},
     "bad_pointer_order.cpp": {"pointer-order": 3},
-    "bad_static_local.cpp": {"static-local": 2},
+    "bad_static_local.cpp": {"static-local": 3},
     "bad_span_retention.cpp": {"span-retention": 3},
     "bad_atomic_seqcst.cpp": {"atomic-implicit-seqcst": 7},
     "bad_atomic_store_no_notify.cpp": {"atomic-store-no-notify": 3},
