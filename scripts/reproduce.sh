@@ -31,14 +31,14 @@ for arg in "$@"; do
 done
 
 if [ "$DRY" = 1 ]; then
-  echo "would run: cmake -B build -G Ninja"
+  echo "would run: cmake -B build"
   echo "would run: cmake --build build"
   echo "would run: ctest --test-dir build  (tee test_output.txt)"
   echo "would run: build/bench/*           (tee bench_output.txt)"
   exit 0
 fi
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt

@@ -4,7 +4,8 @@
 // apply / observe) and, in sharded routing, each shard's routing work —
 // but only when EngineConfig::profile is set: when it is off the engine
 // holds a null profiler and each phase costs exactly one pointer test
-// (bench_engine_micro's off-path entries gate that this stays true).
+// (the untraced reps of benchmark/run.py, which run with profile = false,
+// measure that path).
 //
 // Wall-clock numbers are inherently non-deterministic; the profiler is
 // therefore a reporting layer only. It never feeds the metrics registry,

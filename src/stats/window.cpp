@@ -13,7 +13,6 @@ void WindowStats::begin_window(const sim::Engine& engine,
   begin_in_flight_ = engine.in_flight();
   start_step_ = begin_step_ + warmup_steps;
   population_ = RunningStat();
-  in_flight_after_ = RunningStat();
   latency_ = Samples();
   peak_ = 0;
   steps_ = 0;
@@ -26,7 +25,6 @@ void WindowStats::on_step(const sim::Engine& /*engine*/,
   if (record.step < start_step_) return;
   ++steps_;
   population_.add(static_cast<double>(record.assignments.size()));
-  in_flight_after_.add(static_cast<double>(record.in_flight_after));
   peak_ = std::max(peak_, record.in_flight_after);
   for (const sim::Packet& p : record.arrivals) {
     // record.arrivals carries arrived_at == record.step + 1 > start_step_:

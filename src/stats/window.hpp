@@ -1,12 +1,11 @@
 // Per-window step statistics, shared by every measurement harness that
 // slices a continuous-injection run into fixed step windows: the
-// steady-state meter (steady_state.cpp), the closed-loop admission
-// controller's engine adapter (sweep.cpp), and the bench drivers. One
-// observer instance stays attached across windows; begin_window() rolls
-// it over at a boundary, and measurement() turns a finished window
-// into the one sim::WindowMeasurement every harness reports. Everything
-// here is virtual-time only, so the numbers are bit-identical across
-// engine thread counts.
+// steady-state meter (steady_state.cpp) and the closed-loop admission
+// controller's engine adapter (sweep.cpp). One observer instance stays
+// attached across windows; begin_window() rolls it over at a boundary, and
+// measurement() turns a finished window into the one sim::WindowMeasurement
+// every harness reports. Everything here is virtual-time only, so the
+// numbers are bit-identical across engine thread counts.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +27,6 @@ class WindowStats final : public sim::StepObserver {
   void on_step(const sim::Engine& engine,
                const sim::StepRecord& record) override;
 
-  /// Post-move in-flight count (after this step's absorptions).
-  const RunningStat& in_flight_after() const { return in_flight_after_; }
-  std::size_t peak_in_flight() const { return peak_; }
-
   /// The window arithmetic of every steady-state harness. Call once
   /// `engine` has run the warmup and the measured steps of this window;
   /// `offered` and `admitted` count the injector's attempts over both
@@ -48,7 +43,6 @@ class WindowStats final : public sim::StepObserver {
   /// Pre-move population: packets routed in the step (each packet counts
   /// once per step it spent in the network — the L of Little's law).
   RunningStat population_;
-  RunningStat in_flight_after_;
   Samples latency_;
   std::size_t peak_ = 0;
   std::uint64_t steps_ = 0;  ///< measured steps (the warmup excluded)

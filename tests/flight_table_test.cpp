@@ -12,6 +12,7 @@
 #include "routing/restricted_priority.hpp"
 #include "sim/engine.hpp"
 #include "sim/flight_table.hpp"
+#include "sim/injection.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
@@ -92,6 +93,30 @@ TEST(FlightTableFootprint, OccupancyIsOneRowOfDirectionCountIdsPerNode) {
     EXPECT_GE(list, routed.last * sizeof(net::NodeId));
     EXPECT_LT(list, 2 * net->num_nodes() * sizeof(net::NodeId));
   }
+}
+
+TEST(FlightTableFootprint, ContinuousRunFootprintTracksInFlightNotDelivered) {
+  // A step touches only the in-flight packets, so its cost is O(in-flight)
+  // rather than O(delivered): without the arrival archive, nothing the
+  // engine holds grows with the delivered count. 50 000 more steps deliver
+  // about half a million more packets and leave the footprint unchanged.
+  net::Mesh mesh(2, 8);
+  routing::RestrictedPriorityPolicy policy;
+  sim::EngineConfig config;
+  config.seed = 9;
+  config.archive_arrivals = false;
+  sim::Engine engine(mesh, {}, policy, config);
+  sim::BernoulliInjector injector(0.2, 41);
+  engine.set_injector(&injector);
+
+  engine.run_for(10'000);
+  const std::size_t early = engine.memory_stats().total();
+  const std::uint64_t delivered_early = engine.delivered();
+  engine.run_for(50'000);
+  const sim::EngineMemoryStats late = engine.memory_stats();
+  EXPECT_GT(engine.delivered(), 4 * delivered_early);
+  EXPECT_EQ(late.archive_bytes, 0u);
+  EXPECT_EQ(late.total(), early);
 }
 
 // --- overflow boundaries ----------------------------------------------------
