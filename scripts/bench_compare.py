@@ -189,7 +189,7 @@ def compare_smoke(baseline: dict, fresh: dict[str, object],
                             "the pinned digests did not match")
             continue
         problem = shortfall(name, SMOKE_METRIC, base_entry[SMOKE_METRIC],
-                               new, threshold, ".1f")
+                            new, threshold, ".1f")
         if problem:
             problems.append(problem)
     return problems

@@ -4,9 +4,9 @@
 // The pre-rework engine coordinated its worker pool with a mutex/condvar
 // epoch handshake: every sharded phase paid two lock acquisitions plus a
 // condvar broadcast on the main thread and one lock round-trip per worker.
-// The engine benchmark of the time showed that handshake (plus
-// routing-only sharding) costing more than the parallelism bought — t4 ran
-// *slower* than t1 at n = 256. This barrier replaces it with three cache-line-isolated atomics:
+// Measurements showed that handshake (plus routing-only sharding) costing
+// more than the parallelism bought — t4 ran *slower* than t1 at n = 256.
+// This barrier replaces it with three cache-line-isolated atomics:
 //
 //   epoch_    (serial << 1) | stop — bumped by the main thread to publish a
 //             parallel phase; workers spin briefly, then futex-wait
