@@ -3,7 +3,7 @@
 // guarantee, and print per-packet statistics.
 //
 // Build & run:
-//   cmake -B build -G Ninja && cmake --build build
+//   cmake -B build && cmake --build build
 //   ./build/examples/quickstart [side] [seed]
 #include <cstdlib>
 #include <iostream>

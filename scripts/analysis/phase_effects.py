@@ -539,7 +539,7 @@ def load_model(root: pathlib.Path) -> Model:
 
 @dataclasses.dataclass(frozen=True)
 class Effect:
-    member: str  # "scatter_" or column form "flight_.pos_"
+    member: str  # "occ_ids_" or column form "flight_.pos_"
     kind: str  # "read" | "write"
     owned: bool
     file: str

@@ -273,7 +273,7 @@ class LiveTree(unittest.TestCase):
         model = phase_effects.load_model(REPO)
         self.assertEqual(
             phase_effects.extract_pipeline(model),
-            ["kScan", "kBucket", "kRoute", "kMove"],
+            ["kOccupy", "kRoute", "kMove"],
         )
 
     def test_live_shared_writes_are_annotated_with_reasons(self):

@@ -93,8 +93,8 @@ std::size_t occupancy_shard_count(std::size_t num_nodes) {
   return std::clamp<std::size_t>(num_nodes / 256, 1, 32);
 }
 
-/// Slot count below which the occupancy scatter/bucket fan-out costs more
-/// than it buys. Pure tuning: both paths produce the identical ordering.
+/// Slot count below which a parallel occupancy pass costs more than it
+/// buys. Pure tuning: every task grouping produces the identical ordering.
 constexpr std::size_t kParallelOccupancyCutoff = 1024;
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
@@ -120,7 +120,6 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
   archive_.set_keep_records(config_.archive_arrivals);
 
   occ_shards_ = occupancy_shard_count(num_nodes_);
-  if (occ_shards_ > 1) scatter_.resize(occ_shards_ * occ_shards_);
 
   problem.validate(net);
   inject(problem);
@@ -216,13 +215,11 @@ EngineMemoryStats Engine::memory_stats() const {
   stats.flight_bytes = flight_.memory_bytes();
   stats.archive_bytes = archive_.memory_bytes();
   stats.scratch_bytes = vec_bytes(assignments_) + vec_bytes(step_arrivals_) +
-                        vec_bytes(epoch_ns_) + vec_bytes(shards_) +
-                        vec_bytes(scatter_);
+                        vec_bytes(epoch_ns_) + vec_bytes(shards_);
   for (const ShardState& s : shards_) {
     stats.scratch_bytes += vec_bytes(s.route_buf) + vec_bytes(s.occ_nodes) +
                            vec_bytes(s.arrivals);
   }
-  for (const auto& row : scatter_) stats.scratch_bytes += vec_bytes(row);
   return stats;
 }
 
@@ -311,11 +308,8 @@ void Engine::run_task(TaskKind kind, std::size_t task) {
   const std::size_t begin = task_items_ * task / task_count_;
   const std::size_t end = task_items_ * (task + 1) / task_count_;
   switch (kind) {
-    case TaskKind::kScan:
-      scan_slots(task, begin, end);
-      break;
-    case TaskKind::kBucket:
-      bucket_owner(task);
+    case TaskKind::kOccupy:
+      occupy_owners(begin, end);
       break;
     case TaskKind::kRoute:
       route_range(begin, end, shards_[task].route_buf);
@@ -334,26 +328,20 @@ std::size_t Engine::sub_tasks(std::size_t items, std::size_t grain) const {
 
 // --- occupancy -------------------------------------------------------------
 
-void Engine::scan_slots(std::size_t task, std::size_t begin,
-                        std::size_t end) {
-  const std::size_t row = task * occ_shards_;
-  for (std::size_t o = 0; o < occ_shards_; ++o) scatter_[row + o].clear();
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto s = static_cast<FlightTable::Slot>(i);
-    const net::NodeId node = flight_.pos(s);
-    scatter_[row + owner_of(node)].emplace_back(node, flight_.id(s));
-  }
-}
-
-void Engine::bucket_owner(std::size_t owner) {
-  ShardState& shard = shards_[owner];
-  shard.occ_nodes.clear();
-  // Rows in scan-task order, pairs in slot order within a row: the
-  // first-seen order below is the global slot order restricted to this
-  // owner's nodes — independent of how many scan tasks produced the rows.
-  for (std::size_t r = 0; r < occ_shards_; ++r) {
-    for (const auto& [node, id] : scatter_[r * occ_shards_ + owner]) {
-      if (occupy(node, id)) shard.occ_nodes.push_back(node);
+void Engine::occupy_owners(std::size_t first, std::size_t last) {
+  for (std::size_t o = first; o < last; ++o) shards_[o].occ_nodes.clear();
+  // Owners [first, last) hold one contiguous node range. The node is
+  // rebuilt from its offset into that range, so a single unsigned compare
+  // is both the ownership test and what derives every write index below
+  // from this task's owners (scripts/analysis/phase_effects.py).
+  const std::size_t lo = owner_first_node(first);
+  const std::size_t span = owner_first_node(last) - lo;
+  for (FlightTable::Slot s = 0; s < flight_.end_slot(); ++s) {
+    const std::size_t offset = static_cast<std::size_t>(flight_.pos(s)) - lo;
+    if (offset >= span) continue;
+    const auto node = static_cast<net::NodeId>(lo + offset);
+    if (occupy(node, flight_.id(s))) {
+      shards_[owner_of(node)].occ_nodes.push_back(node);
     }
   }
 }
@@ -378,25 +366,15 @@ void Engine::build_occupancy() {
   }
   occupied_.clear();
   if (shards_.size() < occ_shards_) shards_.resize(occ_shards_);
-  const std::size_t slots = flight_.size();
-  if (barrier_ != nullptr && occ_shards_ > 1 &&
-      slots >= kParallelOccupancyCutoff) {
-    run_sharded(TaskKind::kScan, occ_shards_, slots, obs::Phase::kOccupancy);
-    run_sharded(TaskKind::kBucket, occ_shards_, occ_shards_,
-                obs::Phase::kOccupancy);
-  } else {
-    // Serial path producing the identical owner-grouped ordering; with
-    // one owner it is plain first-seen slot order.
-    for (std::size_t o = 0; o < occ_shards_; ++o) {
-      shards_[o].occ_nodes.clear();
-    }
-    for (FlightTable::Slot s = 0; s < flight_.end_slot(); ++s) {
-      const net::NodeId node = flight_.pos(s);
-      if (occupy(node, flight_.id(s))) {
-        shards_[owner_of(node)].occ_nodes.push_back(node);
-      }
-    }
-  }
+  // Each task takes a contiguous range of owners. Only this grouping
+  // depends on the thread count; within one owner, first-seen slot order
+  // is the same for every grouping.
+  const std::size_t tasks =
+      barrier_ == nullptr || flight_.size() < kParallelOccupancyCutoff
+          ? 1
+          : std::min(static_cast<std::size_t>(config_.num_threads),
+                     occ_shards_);
+  run_sharded(TaskKind::kOccupy, tasks, occ_shards_, obs::Phase::kOccupancy);
   for (std::size_t o = 0; o < occ_shards_; ++o) {
     occupied_.insert(occupied_.end(), shards_[o].occ_nodes.begin(),
                      shards_[o].occ_nodes.end());

@@ -16,10 +16,10 @@
 //     O(in-flight) — independent of how many packets have ever existed,
 //     which is what continuous-injection (steady-state) runs require.
 //   * step() is a deterministic phase pipeline over a persistent worker
-//     pool (util::PhaseBarrier): occupancy scan/bucket, routing, and the
-//     movement half of apply run as sharded epochs, while injection,
-//     arrival removal and observation stay serial. Routing a node first
-//     computes its residents' good-direction masks with one
+//     pool (util::PhaseBarrier): occupancy, routing, and the movement
+//     half of apply run as sharded epochs, while injection, arrival
+//     removal and observation stay serial. Routing a node first computes
+//     its residents' good-direction masks with one
 //     RoutingPolicy::batch_good_dirs call. Every partition boundary that
 //     can reach the output is a pure function of problem state —
 //     occupancy ownership is keyed by node id over a shard count fixed at
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "sim/flight_table.hpp"
@@ -211,18 +210,17 @@ class Engine {
   /// chosen by the main thread before the epoch opens; tickets only pick
   /// the executing thread.
   enum class TaskKind : std::uint32_t {
-    kScan = 0,   ///< partition flight slots into per-owner scatter rows
-    kBucket,     ///< merge scatter columns into one owner's node rows
-    kRoute,      ///< route a contiguous range of occupied nodes
-    kMove,       ///< apply movement for a contiguous assignment range
+    kOccupy = 0,  ///< fill the node rows of a contiguous range of owners
+    kRoute,       ///< route a contiguous range of occupied nodes
+    kMove,        ///< apply movement for a contiguous assignment range
   };
 
-  /// Everything one task writes, on its own cache line(s). A task owns
-  /// exactly one ShardState between the epoch's open and close; the
-  /// barrier's release/acquire edges publish it back to the main thread.
+  /// What tasks write, on their own cache line(s): task t owns the other
+  /// fields of shards_[t], and a kOccupy task the occ_nodes of every owner
+  /// in its range. The barrier's release/acquire edges publish them.
   struct alignas(util::kCacheLineBytes) ShardState {
     std::vector<Assignment> route_buf;    ///< kRoute output
-    std::vector<net::NodeId> occ_nodes;   ///< kBucket output, first-seen order
+    std::vector<net::NodeId> occ_nodes;   ///< kOccupy: owner's new nodes
     std::vector<PacketId> arrivals;       ///< kMove: packets that arrived
     std::uint64_t advances = 0;           ///< kMove counters
     std::uint64_t deflections = 0;
@@ -258,13 +256,19 @@ class Engine {
   /// Claims and executes tickets of the current epoch until none remain.
   void drain_tasks();
   void run_task(TaskKind kind, std::size_t task);
-  void scan_slots(std::size_t task, std::size_t begin, std::size_t end);
-  void bucket_owner(std::size_t owner);
+  /// Fills the rows of the nodes owned by owners [first, last) in one
+  /// pass over the flight slots, and lists each owner's newly occupied
+  /// nodes in first-seen slot order.
+  void occupy_owners(std::size_t first, std::size_t last);
   void move_range(std::size_t task, std::size_t begin, std::size_t end);
 
   /// Owner shard of a node: contiguous node-id ranges over occ_shards_.
+  /// Owner o holds exactly [owner_first_node(o), owner_first_node(o + 1)).
   std::size_t owner_of(net::NodeId node) const {
     return static_cast<std::size_t>(node) * occ_shards_ / num_nodes_;
+  }
+  std::size_t owner_first_node(std::size_t o) const {  // ⌈o·N/S⌉
+    return (o * num_nodes_ + occ_shards_ - 1) / occ_shards_;
   }
   /// Task count for an output-invariant fan-out (routing, movement):
   /// enough tasks for the tickets to balance, never so many that per-task
@@ -308,17 +312,14 @@ class Engine {
 
   // Epoch state. task_kind_/task_count_/task_items_ are written by the
   // main thread before PhaseBarrier::open and read by workers after its
-  // acquire edge; each ShardState and scatter_ row/column pair is owned by
-  // exactly one task per epoch (see phase_barrier.hpp for the
-  // happens-before argument, and tests/phase_barrier_test.cpp + the TSan
-  // CI job for the dynamic check).
-  TaskKind task_kind_ = TaskKind::kScan;
+  // acquire edge. Each ShardState's task fields, and each owner's
+  // occ_nodes list and node rows, are owned by exactly one task per epoch
+  // (see phase_barrier.hpp for the happens-before argument, and
+  // tests/phase_barrier_test.cpp + the TSan CI job for the dynamic check).
+  TaskKind task_kind_ = TaskKind::kOccupy;
   std::size_t task_count_ = 0;
   std::size_t task_items_ = 0;
   std::vector<ShardState> shards_;
-  /// scatter_[r * occ_shards_ + o]: (node, id) pairs of owner o found by
-  /// scan task r; written by task r, read by bucket task o next epoch.
-  std::vector<std::vector<std::pair<net::NodeId, PacketId>>> scatter_;
   std::vector<std::uint64_t> epoch_ns_;  // profiler hand-off scratch
 
   std::unique_ptr<util::PhaseBarrier> barrier_;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -37,6 +38,9 @@ Problem read_problem(std::istream& in) {
       long long src = 0, dst = 0;
       HP_CHECK(static_cast<bool>(fields >> src >> dst),
                "'packet' needs <src> <dst>" + where);
+      HP_CHECK(std::in_range<net::NodeId>(src) &&
+                   std::in_range<net::NodeId>(dst),
+               "'packet' node id outside the 32-bit NodeId range" + where);
       problem.packets.push_back({static_cast<net::NodeId>(src),
                                  static_cast<net::NodeId>(dst)});
     } else {

@@ -66,6 +66,19 @@ TEST(ProblemIo, RejectsMalformedDocuments) {
     std::istringstream in("problem a\nfrobnicate 1 2\n");  // bad keyword
     EXPECT_THROW(read_problem(in), CheckError);
   }
+  {
+    // Ids that would wrap into range if narrowed to 32 bits.
+    std::istringstream in("problem a\npacket 4294967296 1\n");
+    EXPECT_THROW(read_problem(in), CheckError);
+  }
+  {
+    std::istringstream in("problem a\npacket -4294967295 1\n");
+    EXPECT_THROW(read_problem(in), CheckError);
+  }
+  {
+    std::istringstream in("problem a\npacket 1 4294967298\n");
+    EXPECT_THROW(read_problem(in), CheckError);
+  }
 }
 
 TEST(ProblemIo, FileRoundTrip) {

@@ -484,13 +484,29 @@ TEST(ReferenceModel, RefusedInjectionsAgreeAtRateNinetyPercent) {
 
 TEST(ReferenceModel, ShardedOccupancyAgrees) {
   // 2304 nodes make nine occupancy owners, and ~9000 saturated packets
-  // cross every parallel cutoff: sharded scan/bucket, route and move.
+  // cross every parallel cutoff: the owner-range occupancy pass, route and
+  // move. At 12 threads the occupancy tasks are capped at the nine owners.
   net::Mesh mesh(2, 48);
   Rng rng(5);
   const workload::Problem saturated = workload::saturated_random(mesh, 4, rng);
-  for (const int threads : {1, 2, 4, 8}) {
+  for (const int threads : {1, 2, 4, 8, 12}) {
     expect_lockstep(mesh, "greedy-random", saturated, 0.0, 25, threads);
     expect_lockstep(mesh, "restricted", {}, 0.3, 25, threads);
+  }
+  // 1024 nodes make four owners on a network that is not a mesh.
+  net::Hypercube cube(10);
+  const workload::Problem cube_saturated =
+      workload::saturated_random(cube, 8, rng);
+  for (const int threads : {1, 2, 4, 8}) {
+    expect_lockstep(cube, "greedy-random", cube_saturated, 0.0, 25, threads);
+  }
+  // 2500 nodes make nine owners that do not divide the node count, so
+  // owner ranges differ in length and their bounds must round up.
+  net::Mesh torus(2, 50, true);
+  const workload::Problem torus_saturated =
+      workload::saturated_random(torus, 4, rng);
+  for (const int threads : {1, 2, 4, 8}) {
+    expect_lockstep(torus, "restricted", torus_saturated, 0.0, 25, threads);
   }
 }
 
